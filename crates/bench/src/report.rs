@@ -11,10 +11,12 @@
 //!  "flatness":1.04}
 //! ```
 //!
-//! Every run carries `name`, `ns_per_event`, and `throughput`; the
-//! report carries `flatness` (max/min ns-per-event across runs — 1.0
-//! is perfectly linear scaling). Bench-specific numbers such as
-//! `reduction_ratio` ride along as extra per-run fields.
+//! Every run carries `name`, `ns_per_event`, and `throughput`.
+//! Bench-specific numbers such as `reduction_ratio` ride along as extra
+//! per-run fields. The report carries `flatness` (max/min ns-per-event
+//! across runs — 1.0 is perfectly linear scaling) only when the runs
+//! form a size sweep, i.e. every run processed a distinct number of
+//! events; across unlike modes of one size the ratio means nothing.
 
 /// One measured run: a label, how many events it processed, and how
 /// long it took. Derived rates are computed, never stored.
@@ -76,8 +78,8 @@ impl BenchRun {
     }
 }
 
-/// A whole benchmark's output: workload constants, the runs, and the
-/// flatness of ns-per-event across them.
+/// A whole benchmark's output: workload constants, the runs, and, for
+/// a size sweep, the flatness of ns-per-event across them.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// The benchmark family, e.g. `pattern` or `monitor/wire`.
@@ -111,21 +113,20 @@ impl BenchReport {
         self.runs.push(run);
     }
 
-    /// Max/min ns-per-event across the runs; 1.0 means the sweep
-    /// scaled perfectly linearly. 1.0 for fewer than two runs.
-    pub fn flatness(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for run in &self.runs {
-            let ns = run.ns_per_event();
-            min = min.min(ns);
-            max = max.max(ns);
+    /// Max/min ns-per-event across a size sweep (at least two runs,
+    /// each over a distinct event count); 1.0 means it scaled perfectly
+    /// linearly. `None` when the runs are not a size sweep.
+    pub fn flatness(&self) -> Option<f64> {
+        let mut sizes: Vec<u64> = self.runs.iter().map(|r| r.events).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        if self.runs.len() < 2 || sizes.len() < self.runs.len() {
+            return None;
         }
-        if self.runs.len() < 2 || min <= 0.0 {
-            1.0
-        } else {
-            max / min
-        }
+        let ns = self.runs.iter().map(BenchRun::ns_per_event);
+        let min = ns.clone().fold(f64::INFINITY, f64::min);
+        let max = ns.fold(0.0, f64::max);
+        Some(if min > 0.0 { max / min } else { 1.0 })
     }
 
     /// The full artifact as one JSON object (no trailing newline).
@@ -141,7 +142,11 @@ impl BenchReport {
             }
             out.push_str(&run.to_json());
         }
-        out.push_str(&format!("],\"flatness\":{:.3}}}", self.flatness()));
+        out.push(']');
+        if let Some(flatness) = self.flatness() {
+            out.push_str(&format!(",\"flatness\":{flatness:.3}"));
+        }
+        out.push('}');
         out
     }
 }
@@ -158,12 +163,23 @@ mod tests {
     }
 
     #[test]
-    fn flatness_is_max_over_min_ns_per_event() {
+    fn size_sweep_reports_flatness() {
         let mut report = BenchReport::new("test");
-        report.push(BenchRun::new("a", 1_000, 0.001)); // 1000 ns/ev
-        report.push(BenchRun::new("b", 1_000, 0.0012)); // 1200 ns/ev
-        assert!((report.flatness() - 1.2).abs() < 1e-9);
-        assert_eq!(BenchReport::new("empty").flatness(), 1.0);
+        report.push(BenchRun::new("n1000", 1_000, 0.001)); // 1000 ns/ev
+        report.push(BenchRun::new("n3000", 3_000, 0.0036)); // 1200 ns/ev
+        assert!((report.flatness().unwrap() - 1.2).abs() < 1e-9);
+        assert!(report.to_json().ends_with("],\"flatness\":1.200}"));
+    }
+
+    #[test]
+    fn unlike_modes_of_one_size_report_no_flatness() {
+        let mut report = BenchReport::new("test");
+        report.push(BenchRun::new("seq", 1_000, 0.001));
+        report.push(BenchRun::new("par-t2", 1_000, 0.0005));
+        report.push(BenchRun::new("n2000", 2_000, 0.001));
+        assert_eq!(report.flatness(), None);
+        assert!(!report.to_json().contains("flatness"));
+        assert_eq!(BenchReport::new("empty").flatness(), None);
     }
 
     #[test]
@@ -176,6 +192,7 @@ mod tests {
         assert!(json.contains("\"ns_per_event\":1000.0"));
         assert!(json.contains("\"throughput\":1000000"));
         assert!(json.contains("\"reduction_ratio\":6.500"));
-        assert!(json.ends_with("\"flatness\":1.000}"));
+        // One run is no sweep: no flatness.
+        assert!(json.ends_with("\"reduction_ratio\":6.500}]}"));
     }
 }

@@ -4,7 +4,6 @@
 //! hbtl monitor serve <addr> [--shards N] [--capacity N] [--stats-every SECS]
 //!                   [--data-dir DIR] [--sync always|os|interval:<ms>]
 //!                   [--snapshot-every N] [--wire-version V] [--no-slice]
-//!                   [--par-threads N]
 //! hbtl monitor send <addr> <trace> --session NAME
 //!                   (--conj SPEC | --disj SPEC | --pattern SPEC)...
 //!                   [--seed S] [--window W] [--retry N]
@@ -30,12 +29,6 @@
 //! per-predicate filter counters plus a derived
 //! `slice.<pred>.reduction_ratio` (events in ÷ events reaching the
 //! detector).
-//!
-//! `--par-threads N` switches sessions to the `hb-par` parallel
-//! detectors and evaluates independent predicates of one delivery
-//! batch on N worker threads. Verdicts, witness cuts, and snapshot
-//! bytes are identical at every setting — snapshots written by a
-//! parallel server restore into a sequential one and vice versa.
 //!
 //! `send` replays a recorded trace as a live computation would emit it:
 //! a seeded causality-respecting shuffle of the events (bounded
@@ -207,13 +200,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         return Err("--sync and --snapshot-every need --data-dir".into());
     }
     let no_slice = take_switch(&mut rest, "--no-slice");
-    let par_threads = take_flag(&mut rest, "--par-threads")?
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| "bad --par-threads".to_string())
-        })
-        .transpose()?
-        .unwrap_or(0);
     // Compatibility-testing knob: serve as if this were an older build
     // (caps the handshake and refuses frames that version lacked).
     let wire_version = take_flag(&mut rest, "--wire-version")?
@@ -233,6 +219,9 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         }
         p
     });
+    if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {flag}"));
+    }
     let [addr] = rest.as_slice() else {
         return Err("serve needs <addr> (e.g. 127.0.0.1:7474)".into());
     };
@@ -250,7 +239,6 @@ fn serve_cmd(args: &[String]) -> Result<String, String> {
         limits: SessionLimits {
             buffer_capacity: capacity,
             slice: !no_slice,
-            parallel: par_threads,
             ..SessionLimits::default()
         },
         stats_interval: stats_every.map(Duration::from_secs),
@@ -545,4 +533,23 @@ pub fn shutdown_server(addr: &str, retries: u32) -> Result<(), String> {
     // Wait for the acknowledgement so the caller knows the server saw it.
     let _ = read_frame::<_, ServerMsg>(&mut r);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn serve_rejects_a_leftover_flag_by_name() {
+        // A flag another subcommand takes, with its value: named, not
+        // misread as a surplus positional.
+        let err = serve_cmd(&args(&["--workers", "4", "127.0.0.1:0"])).unwrap_err();
+        assert_eq!(err, "unknown flag --workers");
+        let err = serve_cmd(&args(&["127.0.0.1:0", "--shards", "2", "--bogus"])).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus");
+    }
 }

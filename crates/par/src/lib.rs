@@ -1,72 +1,133 @@
-//! Work-optimal parallel predicate detection on the vendored `rayon`
-//! shim, after Garg–Garg (*Fast and Work-Optimal Parallel Algorithms
-//! for Predicate Detection*): predicate detection on the
-//! happened-before model is in NC, and its sequential algorithms
-//! decompose into per-process work units joined by vector-clock
-//! reductions.
+//! Parallel `AG(linear)` detection on the vendored `rayon` shim, after
+//! Garg–Garg (*Fast and Work-Optimal Parallel Algorithms for Predicate
+//! Detection*).
 //!
-//! Two layers:
+//! Algorithm A2 decides `AG(p)` for a linear `p` by checking the final
+//! cut and every meet-irreducible cut `E − ↑e`. The `|E|` checks are
+//! independent, so [`ParDetector::ag_linear`] runs them speculatively
+//! in chunks of events and reports the first violation in event order:
+//! the exact counterexample and `checked` count `hb_detect::ag_linear`
+//! returns, at any thread count.
 //!
-//! * [`ParDetector`] — the offline detector. Per-process clause scans
-//!   run as parallel work units; the conjunctive cut-advancement
-//!   fixpoint parallelizes its `O(n²)` pairwise dead-candidate search
-//!   into per-process scans joined by a lexicographic reduce; `AG`
-//!   fans the meet-irreducible cut checks out in chunks; the pattern
-//!   matcher's per-atom candidate scans label events in parallel.
-//! * [`ParOnlineMonitor`] / [`ParConjunctive`] — the online detectors
-//!   behind `hb_detect::online::OnlineMonitor`, drop-in replacements
-//!   for the sequential monitors with **byte-identical**
-//!   `DetectorState` exports at every observation boundary (the
-//!   differential battery in `tests/par_equivalence.rs` locks this),
-//!   so WAL snapshots, crash recovery, and `dist` workers interoperate
-//!   freely across sequential and parallel sessions.
-//!
-//! # Determinism
-//!
-//! Every parallel construct here is a *search* or a *reduce* over
-//! read-only state: which candidate to pop, whether a cut violates the
-//! invariant, which frontier chain a new event extends. The mutations
-//! those searches feed — queue pops, frontier inserts, verdict commits
-//! — happen on the calling thread, in exactly the order the sequential
-//! algorithm performs them. Thread count therefore changes wall-clock
-//! shape, never a single byte of detector state (DESIGN.md §16).
+//! This is the only detector here because it is the only one that
+//! beats its best sequential counterpart (DESIGN.md §16). The EF and
+//! online detectors run sequentially.
 
-pub mod conjunctive;
-pub mod offline;
-pub mod online;
+use hb_computation::{Computation, Cut, EventId};
+use hb_detect::AgReport;
+use hb_predicates::LinearPredicate;
+use rayon::prelude::*;
 
-pub use conjunctive::ParConjunctive;
-pub use offline::ParDetector;
-pub use online::{restore_any_par, ParOnlineMonitor};
-
-/// Runs `f` with `threads` governing rayon-shim fan-out on the calling
-/// thread (`0` keeps the ambient default: an enclosing pool, then
-/// `RAYON_NUM_THREADS`, then the machine).
-pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    if threads == 0 {
-        return f();
-    }
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("shim pool build cannot fail")
-        .install(f)
+/// The parallel `AG` detector: a stateless handle carrying the worker
+/// fan-out.
+#[derive(Debug, Clone)]
+pub struct ParDetector {
+    threads: usize,
 }
 
-/// Below this process count the parallel search paths fall back to
-/// plain loops: fan-out over a handful of processes costs more than the
-/// scan it replaces. Results are identical either way — the threshold
-/// is a latency knob, not a semantic one.
-pub(crate) const PAR_MIN_PROCESSES: usize = 16;
+impl Default for ParDetector {
+    fn default() -> Self {
+        ParDetector::new()
+    }
+}
 
-/// Minimum *per-call* scan work (elementary clock comparisons) before a
-/// search fans out. The vendored rayon shim runs every fan-out on
-/// freshly scoped OS threads — a spawn costs on the order of 10⁵
-/// comparisons — so per-observation searches (the dead-front scan, the
-/// matcher's candidate scans) engage workers only when one call's scan
-/// amortizes the spawn. Amortized fan-outs (one spawn per whole-trace
-/// scan or per multi-thousand-event chunk) are gated on
-/// [`PAR_MIN_PROCESSES`] alone. Results are identical either way; the
-/// `force_parallel` hooks on the detectors exist so the differential
-/// battery can cover the parallel paths on small inputs.
-pub(crate) const PAR_MIN_SCAN_WORK: usize = 1 << 15;
+impl ParDetector {
+    /// A detector with the ambient fan-out (`RAYON_NUM_THREADS` or the
+    /// machine's parallelism).
+    pub fn new() -> Self {
+        ParDetector {
+            threads: rayon::current_num_threads(),
+        }
+    }
+
+    /// Caps the worker fan-out at `n` threads.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.threads = n.max(1);
+        self
+    }
+
+    /// Detects `AG(p)` for a linear predicate: Algorithm A2's
+    /// meet-irreducible sweep with the per-cut checks fanned out in
+    /// event chunks. The counterexample and `checked` count match
+    /// `hb_detect::ag_linear` exactly (first violating cut in event
+    /// order); the speculative overshoot is at most one chunk.
+    pub fn ag_linear<P>(&self, comp: &Computation, p: &P) -> AgReport
+    where
+        P: LinearPredicate + Sync + ?Sized,
+    {
+        let final_cut = comp.final_cut();
+        if !p.eval(comp, &final_cut) {
+            return AgReport {
+                holds: false,
+                counterexample: Some(final_cut),
+                checked: 1,
+            };
+        }
+        let events: Vec<EventId> = comp.event_ids().collect();
+        // Large chunks: the shim spawns scoped threads per fan-out, so
+        // each chunk must carry enough cut checks to amortize a spawn.
+        let chunk_len = (self.threads * 1024).max(2048);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(self.threads)
+            .build()
+            .expect("shim pool build cannot fail");
+        let mut checked = 1usize;
+        for chunk in events.chunks(chunk_len) {
+            let violation = |&e: &EventId| -> Option<Cut> {
+                let v = comp.excluding_cut(e);
+                if p.eval(comp, &v) {
+                    None
+                } else {
+                    Some(v)
+                }
+            };
+            let results: Vec<Option<Cut>> =
+                pool.install(|| chunk.par_iter().map(violation).collect());
+            for (offset, r) in results.into_iter().enumerate() {
+                if let Some(cex) = r {
+                    return AgReport {
+                        holds: false,
+                        counterexample: Some(cex),
+                        checked: checked + offset + 1,
+                    };
+                }
+            }
+            checked += chunk.len();
+        }
+        AgReport {
+            holds: true,
+            counterexample: None,
+            checked,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hb_detect::ag_linear;
+    use hb_predicates::{Conjunctive, LocalExpr};
+
+    #[test]
+    fn ag_linear_matches_sequential_oracle() {
+        let mut b = hb_computation::ComputationBuilder::new(3);
+        let x = b.var("x");
+        b.internal(0).set(x, 1).done();
+        let m = b.send(0).set(x, 2).done_send();
+        b.internal(1).set(x, 1).done();
+        b.receive(2, m).set(x, 1).done();
+        b.internal(2).set(x, 0).done();
+        let comp = b.finish().unwrap();
+        let preds = [
+            Conjunctive::new(vec![(0, LocalExpr::ge(x, 1))]),
+            Conjunctive::new(vec![(0, LocalExpr::le(x, 1))]),
+            Conjunctive::new(vec![(1, LocalExpr::ne(x, 1))]),
+        ];
+        for threads in [1, 4] {
+            let det = ParDetector::new().threads(threads);
+            for p in &preds {
+                assert_eq!(det.ag_linear(&comp, p), ag_linear(&comp, p));
+            }
+        }
+    }
+}

@@ -1,27 +1,18 @@
 //! The differential battery locking `hb-par` to the sequential
-//! detectors: on random computations delivered in random causal
-//! orders, every parallel detector must produce **byte-identical**
-//! verdicts, witness cuts, and exported state at every thread count —
-//! and identical to the sequential implementation at every
-//! observation boundary, not just at the end. A `ParConjunctive`
-//! snapshot taken mid-run must restore into the sequential detector
-//! (and vice versa) without changing a single verdict.
+//! detector: on random computations, `ParDetector::ag_linear` must
+//! return the report `hb_detect::ag_linear` returns, byte for byte —
+//! verdict, counterexample cut and `checked` count — at every thread
+//! count.
 //!
-//! The wide variants (≥ 16 processes, `PAR_MIN_PROCESSES`) make sure
-//! the parallel code paths actually engage: below the threshold the
-//! parallel detectors fall back to plain loops, which would make a
-//! narrow-only battery vacuous.
+//! The wide variant (≥ 16 processes) gives the chunked sweep many
+//! meet-irreducible cuts per chunk to fan out over.
 
-use hb_computation::{Computation, EventId, VarId};
-use hb_detect::online::{OnlineEfConjunctive, OnlineMonitor, OnlineVerdict};
-use hb_detect::{ag_linear, ef_disjunctive, ef_linear};
-use hb_par::{ParConjunctive, ParDetector};
-use hb_pattern::PredictiveMatcher;
-use hb_predicates::{Conjunctive, Disjunctive, LocalExpr};
-use hb_sim::{random_computation, random_linearization, RandomSpec};
+use hb_computation::{Computation, VarId};
+use hb_detect::ag_linear;
+use hb_par::ParDetector;
+use hb_predicates::{Conjunctive, LocalExpr};
+use hb_sim::{random_computation, RandomSpec};
 use proptest::prelude::*;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// `(process, op, threshold)` triples instantiated against `x`.
 #[derive(Debug, Clone)]
@@ -31,30 +22,20 @@ fn clause_specs(n: usize, value_range: i64) -> impl Strategy<Value = ClauseSpec>
     prop::collection::vec((0..n, 0u8..3, 0..value_range), 1..=n.max(1)).prop_map(ClauseSpec)
 }
 
-fn build_clauses(spec: &ClauseSpec, n: usize, x: VarId) -> Vec<(usize, LocalExpr)> {
-    spec.0
-        .iter()
-        .map(|&(p, op, v)| {
-            let expr = match op {
-                0 => LocalExpr::ge(x, v),
-                1 => LocalExpr::le(x, v),
-                _ => LocalExpr::eq(x, v),
-            };
-            (p % n, expr)
-        })
-        .collect()
-}
-
-/// Folds multi-clause processes conjunctively, the way a session does.
-fn fold_clauses(clauses: &[(usize, LocalExpr)], n: usize) -> Vec<Option<LocalExpr>> {
-    let mut folded: Vec<Option<LocalExpr>> = vec![None; n];
-    for (p, expr) in clauses {
-        folded[*p] = Some(match folded[*p].take() {
-            Some(prev) => prev.and(expr.clone()),
-            None => expr.clone(),
-        });
-    }
-    folded
+fn build_conjunctive(spec: &ClauseSpec, n: usize, x: VarId) -> Conjunctive {
+    Conjunctive::new(
+        spec.0
+            .iter()
+            .map(|&(p, op, v)| {
+                let expr = match op {
+                    0 => LocalExpr::ge(x, v),
+                    1 => LocalExpr::le(x, v),
+                    _ => LocalExpr::eq(x, v),
+                };
+                (p % n, expr)
+            })
+            .collect(),
+    )
 }
 
 fn random_comp(seed: u64, n: usize, epp: usize, send_percent: u8) -> Computation {
@@ -67,198 +48,13 @@ fn random_comp(seed: u64, n: usize, epp: usize, send_percent: u8) -> Computation
     })
 }
 
-/// Drives the sequential detector and one parallel detector per thread
-/// count through the same `(process, holds, clock)` stream, asserting
-/// exported-state equality after **every** step (observe and finish).
-/// Equality with the sequential export at every boundary also proves
-/// determinism at each fixed thread count — the export is a pure
-/// function of the stream, not of scheduling.
-fn assert_lockstep(comp: &Computation, folded: &[Option<LocalExpr>], order: &[EventId]) {
-    let n = comp.num_processes();
-    let participating: Vec<bool> = folded.iter().map(Option::is_some).collect();
-    let initially: Vec<bool> = (0..n)
-        .map(|i| {
-            folded[i]
-                .as_ref()
-                .is_some_and(|c| c.eval(comp.local_state(i, 0)))
-        })
-        .collect();
-    let mut seq = OnlineEfConjunctive::new(n, participating.clone(), initially.clone());
-    let mut pars: Vec<ParConjunctive> = THREADS
-        .iter()
-        .map(|&t| {
-            // Forced past the per-call work threshold: these inputs are
-            // far too small to amortize a shim thread spawn, and the
-            // point here is covering the parallel scan code.
-            ParConjunctive::new(n, participating.clone(), initially.clone(), t).force_parallel(true)
-        })
-        .collect();
-    let step = |seq: &mut OnlineEfConjunctive,
-                pars: &mut Vec<ParConjunctive>,
-                label: &str,
-                f: &mut dyn FnMut(&mut dyn OnlineMonitor)| {
-        f(seq);
-        let want = seq.export_state();
-        for (par, &t) in pars.iter_mut().zip(&THREADS) {
-            f(par);
-            assert_eq!(par.export_state(), want, "{label}, threads={t}");
-        }
-    };
-    for &id in order {
-        let holds = folded[id.process]
-            .as_ref()
-            .is_some_and(|c| c.eval(comp.local_state(id.process, id.index as u32 + 1)));
-        let clock = comp.clock(id);
-        step(&mut seq, &mut pars, &format!("after {id}"), &mut |m| {
-            m.observe(id.process, holds, clock);
-        });
-    }
-    for i in 0..n {
-        step(
-            &mut seq,
-            &mut pars,
-            &format!("after finish {i}"),
-            &mut |m| {
-                m.finish_process(i);
-            },
-        );
-    }
-    for (par, &t) in pars.iter().zip(&THREADS) {
-        assert_eq!(
-            OnlineMonitor::verdict(par),
-            OnlineMonitor::verdict(&seq),
-            "final verdict, threads={t}"
-        );
-    }
-}
-
-/// Splits the delivery in two at `cut`, snapshots both detectors at
-/// the boundary, cross-restores (par export → sequential detector,
-/// sequential export → parallel detector), finishes both runs, and
-/// asserts identical verdicts and final exports.
-fn assert_cross_restore(
-    comp: &Computation,
-    folded: &[Option<LocalExpr>],
-    order: &[EventId],
-    cut: usize,
-    threads: usize,
-) {
-    let n = comp.num_processes();
-    let participating: Vec<bool> = folded.iter().map(Option::is_some).collect();
-    let initially: Vec<bool> = (0..n)
-        .map(|i| {
-            folded[i]
-                .as_ref()
-                .is_some_and(|c| c.eval(comp.local_state(i, 0)))
-        })
-        .collect();
-    let mut seq = OnlineEfConjunctive::new(n, participating.clone(), initially.clone());
-    let mut par = ParConjunctive::new(n, participating, initially, threads).force_parallel(true);
-    let holds_of = |id: EventId| {
-        folded[id.process]
-            .as_ref()
-            .is_some_and(|c| c.eval(comp.local_state(id.process, id.index as u32 + 1)))
-    };
-    for &id in &order[..cut] {
-        OnlineMonitor::observe(&mut seq, id.process, holds_of(id), comp.clock(id));
-        OnlineMonitor::observe(&mut par, id.process, holds_of(id), comp.clock(id));
-    }
-    // Cross the snapshots over.
-    let seq_snap = seq.export_state();
-    let par_snap = par.export_state();
-    assert_eq!(seq_snap, par_snap, "snapshots diverge at the boundary");
-    let hb_detect::online::DetectorState::Conjunctive(ref s) = par_snap else {
-        panic!("conjunctive detector exported a non-conjunctive state");
-    };
-    let mut seq = OnlineEfConjunctive::from_state(s);
-    let hb_detect::online::DetectorState::Conjunctive(ref s) = seq_snap else {
-        unreachable!();
-    };
-    let mut par = ParConjunctive::from_state(s, threads).force_parallel(true);
-    for &id in &order[cut..] {
-        OnlineMonitor::observe(&mut seq, id.process, holds_of(id), comp.clock(id));
-        OnlineMonitor::observe(&mut par, id.process, holds_of(id), comp.clock(id));
-    }
-    for i in 0..n {
-        OnlineMonitor::finish_process(&mut seq, i);
-        OnlineMonitor::finish_process(&mut par, i);
-    }
-    assert_eq!(OnlineMonitor::verdict(&par), OnlineMonitor::verdict(&seq));
-    assert_eq!(par.export_state(), seq.export_state());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Online conjunctive detection: parallel exports are byte-equal
-    /// to the sequential detector's after every observation, at every
-    /// thread count, over arbitrary computations and delivery orders.
+    /// `ParDetector::ag_linear` equals `ag_linear`, `checked`
+    /// included, for threads {1, 2, 4, 8}.
     #[test]
-    fn online_conjunctive_lockstep(
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-        n in 2usize..6,
-        epp in 1usize..8,
-        send_percent in 0u8..80,
-        spec in clause_specs(5, 4),
-    ) {
-        let comp = random_comp(seed, n, epp, send_percent);
-        let x = comp.vars().lookup("x").unwrap();
-        let folded = fold_clauses(&build_clauses(&spec, n, x), n);
-        let order = random_linearization(&comp, shuffle_seed);
-        assert_lockstep(&comp, &folded, &order);
-    }
-
-    /// The same lockstep over wide computations (≥ 16 processes), where
-    /// the parallel dead-front search and detection join actually fan
-    /// out instead of falling back to the narrow-path plain loops.
-    #[test]
-    fn online_conjunctive_lockstep_wide(
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-        n in 16usize..22,
-        epp in 1usize..4,
-        send_percent in 0u8..60,
-        spec in clause_specs(21, 4),
-    ) {
-        let comp = random_comp(seed, n, epp, send_percent);
-        let x = comp.vars().lookup("x").unwrap();
-        let folded = fold_clauses(&build_clauses(&spec, n, x), n);
-        let order = random_linearization(&comp, shuffle_seed);
-        assert_lockstep(&comp, &folded, &order);
-    }
-
-    /// Mid-run snapshots cross-restore: a parallel export drives a
-    /// sequential detector through the rest of the run (and vice
-    /// versa) to the same verdict and final state.
-    #[test]
-    fn online_conjunctive_cross_restore(
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-        n in 2usize..6,
-        epp in 1usize..8,
-        send_percent in 0u8..80,
-        spec in clause_specs(5, 4),
-        cut_percent in 0usize..=100,
-        threads_idx in 0usize..THREADS.len(),
-    ) {
-        let threads = THREADS[threads_idx];
-        let comp = random_comp(seed, n, epp, send_percent);
-        let x = comp.vars().lookup("x").unwrap();
-        let folded = fold_clauses(&build_clauses(&spec, n, x), n);
-        let order = random_linearization(&comp, shuffle_seed);
-        let cut = order.len() * cut_percent / 100;
-        assert_cross_restore(&comp, &folded, &order, cut, threads);
-    }
-
-    /// Offline detection: `ParDetector` agrees with the sequential
-    /// oracles (`ef_linear`, `ef_disjunctive`, `ag_linear`,
-    /// `ag_disjunctive`) at every thread count. EF-disjunctive and
-    /// AG-linear must match to the byte, `steps`/`checked` included;
-    /// the conjunctive pair counts different work units, so verdicts
-    /// and cuts are compared.
-    #[test]
-    fn offline_detectors_match_oracles(
+    fn ag_linear_matches_oracle(
         seed in any::<u64>(),
         n in 2usize..6,
         epp in 1usize..8,
@@ -267,30 +63,17 @@ proptest! {
     ) {
         let comp = random_comp(seed, n, epp, send_percent);
         let x = comp.vars().lookup("x").unwrap();
-        let clauses = build_clauses(&spec, n, x);
-        let conj = Conjunctive::new(clauses.clone());
-        let disj = Disjunctive::new(clauses);
-        let ef_seq = ef_linear(&comp, &conj);
-        let efd_seq = ef_disjunctive(&comp, &disj);
-        let ag_seq = ag_linear(&comp, &conj);
-        let agd_seq = hb_detect::ag_disjunctive(&comp, &disj);
-        for threads in THREADS {
-            let det = ParDetector::new().threads(threads);
-            let ef = det.ef_conjunctive(&comp, &conj);
-            prop_assert_eq!(ef.holds, ef_seq.holds, "EF conj, threads={}", threads);
-            prop_assert_eq!(&ef.witness, &ef_seq.witness, "EF conj witness, threads={}", threads);
-            prop_assert_eq!(&det.ef_disjunctive(&comp, &disj), &efd_seq, "EF disj, threads={}", threads);
-            prop_assert_eq!(&det.ag_linear(&comp, &conj), &ag_seq, "AG, threads={}", threads);
-            let agd = det.ag_disjunctive(&comp, &disj);
-            prop_assert_eq!(agd.holds, agd_seq.holds, "AG disj, threads={}", threads);
-            prop_assert_eq!(&agd.counterexample, &agd_seq.counterexample, "AG disj cut, threads={}", threads);
+        let conj = build_conjunctive(&spec, n, x);
+        let want = ag_linear(&comp, &conj);
+        for threads in [1, 2, 4, 8] {
+            let got = ParDetector::new().threads(threads).ag_linear(&comp, &conj);
+            prop_assert_eq!(&got, &want, "threads={}", threads);
         }
     }
 
-    /// Offline detection on wide computations, engaging the parallel
-    /// candidate scans and the chunked AG sweep.
+    /// The same agreement on wide computations, for threads {1, 4}.
     #[test]
-    fn offline_detectors_match_oracles_wide(
+    fn ag_linear_matches_oracle_wide(
         seed in any::<u64>(),
         n in 16usize..22,
         epp in 1usize..4,
@@ -299,106 +82,11 @@ proptest! {
     ) {
         let comp = random_comp(seed, n, epp, send_percent);
         let x = comp.vars().lookup("x").unwrap();
-        let clauses = build_clauses(&spec, n, x);
-        let conj = Conjunctive::new(clauses.clone());
-        let disj = Disjunctive::new(clauses);
-        let ef_seq = ef_linear(&comp, &conj);
-        let ag_seq = ag_linear(&comp, &conj);
+        let conj = build_conjunctive(&spec, n, x);
+        let want = ag_linear(&comp, &conj);
         for threads in [1, 4] {
-            let det = ParDetector::new().threads(threads);
-            let ef = det.ef_conjunctive(&comp, &conj);
-            prop_assert_eq!(ef.holds, ef_seq.holds);
-            prop_assert_eq!(&ef.witness, &ef_seq.witness);
-            prop_assert_eq!(&det.ag_linear(&comp, &conj), &ag_seq);
-            prop_assert_eq!(&det.ef_disjunctive(&comp, &disj), &ef_disjunctive(&comp, &disj));
-        }
-    }
-
-    /// Pattern matching: the parallel matcher's exported state tracks a
-    /// sequential matcher observation-for-observation over a random
-    /// delivery order, at every thread count — and the offline
-    /// `match_pattern` verdict is thread-count invariant.
-    #[test]
-    fn pattern_matcher_lockstep_and_thread_invariant(
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-        n in 2usize..6,
-        epp in 1usize..8,
-        send_percent in 0u8..80,
-        atoms in prop::collection::vec((0i64..4, any::<bool>()), 2..4),
-    ) {
-        let comp = random_comp(seed, n, epp, send_percent);
-        let x = comp.vars().lookup("x").unwrap();
-        // Atom k matches events writing x == value; `causal` flags wire
-        // the chain (the first atom is never causally constrained).
-        let causal: Vec<bool> = atoms
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, c))| k > 0 && c)
-            .collect();
-        let label = |i: usize, s: u32| -> u64 {
-            let v = comp.event(EventId::new(i, s as usize - 1)).state.get(x);
-            atoms
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(want, _))| v == want)
-                .fold(0u64, |m, (k, _)| m | (1 << k))
-        };
-        let order = random_linearization(&comp, shuffle_seed);
-        let mut seq = PredictiveMatcher::new(n, causal.clone());
-        let mut pars: Vec<PredictiveMatcher> = THREADS
-            .iter()
-            .map(|&t| PredictiveMatcher::new(n, causal.clone()).with_threads(t).force_parallel(true))
-            .collect();
-        for &id in &order {
-            let mask = label(id.process, id.index as u32 + 1);
-            seq.observe_atoms(id.process, mask, comp.clock(id));
-            let want = seq.export_state();
-            for (par, &t) in pars.iter_mut().zip(&THREADS) {
-                par.observe_atoms(id.process, mask, comp.clock(id));
-                prop_assert_eq!(par.export_state(), want.clone(), "after {}, threads={}", id, t);
-            }
-        }
-        let offline: Vec<OnlineVerdict> = THREADS
-            .iter()
-            .map(|&t| ParDetector::new().threads(t).match_pattern(&comp, &causal, label))
-            .collect();
-        for (v, &t) in offline.iter().zip(&THREADS) {
-            prop_assert_eq!(v, &offline[0], "offline verdict, threads={}", t);
-        }
-    }
-
-    /// Pattern lockstep over wide computations, engaging the parallel
-    /// per-process candidate scans inside the matcher.
-    #[test]
-    fn pattern_matcher_lockstep_wide(
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-        n in 16usize..20,
-        epp in 1usize..4,
-        send_percent in 0u8..60,
-        atoms in prop::collection::vec((0i64..4, any::<bool>()), 2..4),
-    ) {
-        let comp = random_comp(seed, n, epp, send_percent);
-        let x = comp.vars().lookup("x").unwrap();
-        let causal: Vec<bool> = atoms
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, c))| k > 0 && c)
-            .collect();
-        let order = random_linearization(&comp, shuffle_seed);
-        let mut seq = PredictiveMatcher::new(n, causal.clone());
-        let mut par = PredictiveMatcher::new(n, causal.clone()).with_threads(4).force_parallel(true);
-        for &id in &order {
-            let v = comp.event(id).state.get(x);
-            let mask = atoms
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(want, _))| v == want)
-                .fold(0u64, |m, (k, _)| m | (1 << k));
-            seq.observe_atoms(id.process, mask, comp.clock(id));
-            par.observe_atoms(id.process, mask, comp.clock(id));
-            prop_assert_eq!(par.export_state(), seq.export_state(), "after {}", id);
+            let got = ParDetector::new().threads(threads).ag_linear(&comp, &conj);
+            prop_assert_eq!(&got, &want, "threads={}", threads);
         }
     }
 }

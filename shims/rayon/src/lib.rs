@@ -1,16 +1,16 @@
 //! Vendored, offline subset of `rayon`.
 //!
 //! Implements `par_iter().map(..).collect()` and
-//! `par_iter().flat_map_iter(..).collect()` — the two shapes the
-//! lattice builder uses — with real data parallelism: the input slice
-//! is split into one contiguous chunk per available core and each chunk
-//! is processed on a scoped `std::thread`. Output order matches input
-//! order, as with real rayon's indexed parallel iterators.
+//! `par_iter().flat_map_iter(..).collect()` — the shapes the lattice
+//! builder and the `hb-par` AG sweep use — with real data parallelism:
+//! the input slice is split into one contiguous chunk per worker and
+//! each chunk is processed on a scoped `std::thread`. Output order
+//! matches input order, as with real rayon's indexed parallel
+//! iterators. `ThreadPool::install` scopes the worker count.
 
 /// The glob-import surface, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::IntoParallelRefIterator;
-    pub use crate::IntoParallelRefMutIterator;
 }
 
 use std::cell::Cell;
@@ -157,32 +157,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Runs `f` over each element of `items` by unique reference, in
-/// parallel chunks, preserving order; the per-item results are
-/// concatenated.
-fn chunked_map_mut<'data, T: Send, R: Send, F>(items: &'data mut [T], f: F) -> Vec<R>
-where
-    F: Fn(&'data mut T) -> R + Sync,
-{
-    let n = items.len();
-    let k = workers().min(n.max(1));
-    if k <= 1 || n < 2 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk = n.div_ceil(k);
-    let mut results: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|part| s.spawn(|| part.iter_mut().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("rayon shim worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
 /// `par_iter()` entry point for slices and vectors.
 pub trait IntoParallelRefIterator<'data> {
     /// The element type.
@@ -237,76 +211,6 @@ impl<'data, T: Sync> ParIter<'data, T> {
             items: self.items,
             f,
         }
-    }
-}
-
-/// `par_iter_mut()` entry point for slices and vectors.
-pub trait IntoParallelRefMutIterator<'data> {
-    /// The element type.
-    type Item: Send + 'data;
-
-    /// A parallel iterator over unique references.
-    fn par_iter_mut(&'data mut self) -> ParIterMut<'data, Self::Item>;
-}
-
-impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
-    type Item = T;
-
-    fn par_iter_mut(&'data mut self) -> ParIterMut<'data, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-    type Item = T;
-
-    fn par_iter_mut(&'data mut self) -> ParIterMut<'data, T> {
-        ParIterMut { items: self }
-    }
-}
-
-/// A uniquely-borrowed parallel iterator.
-pub struct ParIterMut<'data, T> {
-    items: &'data mut [T],
-}
-
-impl<'data, T: Send> ParIterMut<'data, T> {
-    /// Parallel map over unique references.
-    pub fn map<R, F>(self, f: F) -> ParMapMut<'data, T, F>
-    where
-        R: Send,
-        F: Fn(&'data mut T) -> R + Sync,
-    {
-        ParMapMut {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Runs `f` on every element in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'data mut T) + Sync,
-    {
-        chunked_map_mut(self.items, f);
-    }
-}
-
-/// Pending parallel mutable map; `collect` runs it.
-pub struct ParMapMut<'data, T, F> {
-    items: &'data mut [T],
-    f: F,
-}
-
-impl<'data, T: Send, F> ParMapMut<'data, T, F> {
-    /// Executes the map and collects in input order.
-    pub fn collect<C, R>(self) -> C
-    where
-        R: Send,
-        F: Fn(&'data mut T) -> R + Sync,
-        C: FromIterator<R>,
-    {
-        chunked_map_mut(self.items, self.f).into_iter().collect()
     }
 }
 
@@ -365,21 +269,6 @@ mod tests {
         let out: Vec<u32> = v.par_iter().flat_map_iter(|&x| [x, x]).collect();
         let expected: Vec<u32> = (0..1000).flat_map(|x| [x, x]).collect();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn map_mut_preserves_order_and_mutates() {
-        let mut v: Vec<u64> = (0..10_000).collect();
-        let old: Vec<u64> = v
-            .par_iter_mut()
-            .map(|x| {
-                let prev = *x;
-                *x += 1;
-                prev
-            })
-            .collect();
-        assert_eq!(old, (0..10_000).collect::<Vec<_>>());
-        assert_eq!(v, (1..=10_000).collect::<Vec<_>>());
     }
 
     #[test]
