@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hb_detect::{eg_conjunctive, eg_linear};
 use hb_predicates::{Conjunctive, LocalExpr};
 use hb_sim::protocols::token_ring_mutex;
-use hb_slicer::eg_regular_via_slice;
+use hb_slice::eg_regular_via_slice;
 use std::hint::black_box;
 
 fn bench_ablation(c: &mut Criterion) {

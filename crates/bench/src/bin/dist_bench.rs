@@ -12,19 +12,19 @@
 //! The harness emulates exactly what the service layers add around the
 //! engines — the gateway's deterministic sequence stamping and the
 //! update relay into the aggregator — with no sockets, so the numbers
-//! isolate the *engine* overhead of distribution: each event is sliced
-//! twice (once in its worker, once in the aggregator's replica) plus
-//! the reorder-buffer bookkeeping. `overhead` is dist over single
+//! isolate the *engine* overhead of distribution: each event is
+//! classified in its worker, then buffered and detected in the
+//! aggregator's session core, plus the reorder-buffer bookkeeping. `overhead` is dist over single
 //! ns-per-event on the identical pre-built stream; `updates_per_event`
 //! confirms the one-update-per-sequence liveness invariant is also the
 //! whole relay traffic. `flatness` (max/min ns-per-event across the
 //! 10x sweep) near 1.0 confirms the pipeline stays O(1) per event.
 
 use hb_bench::report::{BenchReport, BenchRun};
-use hb_dist::{owner, DistAggregator, DistWorker, OverflowPolicy};
-use hb_monitor::{Session, SessionLimits};
+use hb_monitor::dist::{DistAggregator, DistWorker};
+use hb_monitor::{OverflowPolicy, Session, SessionLimits};
 use hb_sim::{random_computation, random_linearization, RandomSpec};
-use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate};
+use hb_tracefmt::wire::{owner, WireClause, WireMode, WirePredicate};
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
 use std::time::Instant;

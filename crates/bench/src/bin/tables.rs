@@ -21,7 +21,7 @@ use hb_predicates::{
 use hb_reduction::{dpll_sat, random_3cnf, sat_to_eg_gadget, tautology_to_ag_gadget};
 use hb_sim::protocols::token_ring_mutex;
 use hb_sim::{random_computation, RandomSpec};
-use hb_slicer::eg_regular_via_slice;
+use hb_slice::eg_regular_via_slice;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());

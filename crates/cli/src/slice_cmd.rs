@@ -19,7 +19,7 @@ use crate::commands;
 use crate::monitor_cmd::{parse_clause, take_switch};
 use hb_computation::{Computation, EventId};
 use hb_predicates::{CmpOp, Conjunctive, LocalExpr};
-use hb_slicer::Slice;
+use hb_slice::Slice;
 use std::fmt::Write as _;
 
 /// Parses `"p:var=v,..."` into the offline conjunctive predicate,

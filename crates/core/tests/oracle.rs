@@ -348,13 +348,13 @@ proptest! {
         let comp = build(3, &ops);
         let p = conjunctive(&comp, &spec);
         let mc = ModelChecker::new(&comp);
-        let slice = hb_slicer::Slice::compute(&comp, &p);
+        let slice = hb_slice::Slice::compute(&comp, &p);
         for i in 0..mc.lattice().len() {
             let g = mc.lattice().cut(i);
             prop_assert_eq!(slice.contains(g), p.eval(&comp, g), "{} at {}", p.describe(), g);
         }
         // Slice-based EG agrees with A1.
-        let via_slice = hb_slicer::eg_regular_via_slice(&comp, &p);
+        let via_slice = hb_slice::eg_regular_via_slice(&comp, &p);
         prop_assert_eq!(via_slice.holds, mc.eg(&p), "{}", p.describe());
     }
 }

@@ -52,8 +52,9 @@ use crate::journal::SessionJournal;
 use crate::metrics::{GatewayMetrics, GatewaySnapshot};
 use crate::rendezvous;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use hb_dist::{owner, worker_session};
-use hb_tracefmt::wire::{self, ClientMsg, EventFrame, ServerMsg, SliceUpdateBody, WireDistRole};
+use hb_tracefmt::wire::{
+    self, owner, worker_session, ClientMsg, EventFrame, ServerMsg, SliceUpdateBody, WireDistRole,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::BufWriter;

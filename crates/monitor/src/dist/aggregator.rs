@@ -6,45 +6,32 @@
 //! error frames it produces must be **byte-identical** to a
 //! single-backend sliced session fed the same events.
 //!
-//! It achieves that by being a *replica* of the single-backend
-//! pipeline with the per-event payload swapped: where a session
-//! ingests `(process, clock, assignments)` into its [`CausalBuffer`]
-//! and evaluates clauses on delivery, the aggregator ingests
-//! `(process, clock, membership bits)` — the clause truth the owning
-//! worker already computed — and on delivery feeds the detectors
-//! through the same deferred-skip bookkeeping the slicing filter
-//! uses. Hold, duplicate, overflow, and discard behavior all come
-//! from the same buffer type, so every error frame and every verdict
-//! settle point lands in the same place in the frame stream.
+//! It achieves that by running the single-backend session's own
+//! detection [`Core`] with the per-event payload swapped: where a
+//! session buffers `(process, clock, assignments)` and evaluates
+//! clauses on delivery, the aggregator buffers `(process, clock,
+//! membership bits)` — the clause truth the owning worker already
+//! computed — and admits a delivery to a detector when its bit is set,
+//! deferring the skip otherwise. Hold, duplicate, overflow, and discard
+//! behavior, every error message and every verdict settle point come
+//! from that one core.
 //!
-//! Updates arrive tagged with the gateway's per-session sequence
-//! numbers and may interleave arbitrarily across workers; a reorder
-//! stage processes them in contiguous sequence order, which *is* the
-//! single backend's arrival order. Sequences below the watermark are
-//! dropped: after a worker failover the gateway re-derives a
-//! partition's stream from its journal, and the replayed prefix must
-//! be idempotent.
+//! Around the core sits only a reorder stage. Updates arrive tagged
+//! with the gateway's per-session sequence numbers and may interleave
+//! arbitrarily across workers; the stage processes them in contiguous
+//! sequence order, which *is* the single backend's arrival order.
+//! Sequences below the watermark are dropped: after a worker failover
+//! the gateway re-derives a partition's stream from its journal, and
+//! the replayed prefix must be idempotent.
 
-use crate::buffer::{CausalBuffer, OverflowPolicy};
-use crate::compile::compile_conjunctive;
-use crate::DistError;
-use hb_detect::online::{
-    restore_monitor, DetectorState, OnlineEfConjunctive, OnlineMonitor, OnlineVerdict,
+use crate::buffer::OverflowPolicy;
+use crate::session::{
+    validate_open, Core, Detector, FrozenCore, SessionError, SessionLimits, VerdictEvent,
 };
+use hb_detect::online::{DetectorState, OnlineVerdict};
 use hb_tracefmt::wire::{SliceUpdateBody, WirePredicate};
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
-
-/// One registered predicate and its detector replica.
-struct AggPred {
-    id: String,
-    monitor: Box<dyn OnlineMonitor + Send>,
-    /// Non-member deliveries per process not yet flushed into the
-    /// detector as `skip_states` (the slicing filter's `pending`).
-    pending: Vec<u64>,
-    /// Set once the verdict has been reported.
-    emitted: bool,
-}
 
 /// One observable consequence of an update, in emission order.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,14 +43,22 @@ pub enum AggStep {
         /// The settled verdict.
         verdict: OnlineVerdict,
     },
-    /// The update was refused; the message mirrors the single-backend
-    /// session's error frame.
-    Error(DistError),
+    /// The update was refused with the single-backend session's error.
+    Error(SessionError),
     /// The session closed (a `close` update was processed).
     Closed {
         /// Stranded held updates discarded at close.
         discarded: u64,
     },
+}
+
+impl AggStep {
+    fn verdicts(verdicts: Vec<VerdictEvent>) -> impl Iterator<Item = AggStep> {
+        verdicts.into_iter().map(|v| AggStep::Verdict {
+            predicate: v.predicate,
+            verdict: v.verdict,
+        })
+    }
 }
 
 /// Persistable state of a [`DistAggregator`], for WAL snapshots.
@@ -75,7 +70,7 @@ pub struct AggregatorSnapshot {
     pub vars: Vec<String>,
     /// The predicates as registered at open.
     pub predicates: Vec<WirePredicate>,
-    /// The replica buffer's delivered frontier.
+    /// The causal buffer's delivered frontier.
     pub frontier: Vec<u32>,
     /// Held updates in arrival order: `(process, clock, holds)`.
     pub held: Vec<(usize, Vec<u32>, Vec<usize>)>,
@@ -98,23 +93,17 @@ pub struct AggregatorSnapshot {
 /// backend elected by the gateway.
 pub struct DistAggregator {
     k: usize,
-    vars: Vec<String>,
-    predicates: Vec<WirePredicate>,
-    buffer: CausalBuffer<Vec<usize>>,
-    monitors: Vec<AggPred>,
-    finished: Vec<bool>,
-    monitor_finished: Vec<bool>,
-    delivered: u64,
+    /// Buffered payload: the member predicates' indices, ascending.
+    /// Detector stage: deferred non-member observations per process.
+    core: Core<Vec<usize>, Vec<u64>>,
     next_seq: u64,
     reorder: BTreeMap<u64, SliceUpdateBody>,
-    pending_initial: Vec<(String, OnlineVerdict)>,
 }
 
 impl DistAggregator {
     /// Opens an aggregator over the origin session's full open
-    /// request. Validation (checks, order, messages) matches the
-    /// single-backend session, because this refusal is the one the
-    /// client sees.
+    /// request, validated exactly as a single-backend session validates
+    /// it, because this refusal is the one the client sees.
     pub fn open(
         k: usize,
         processes: usize,
@@ -123,65 +112,33 @@ impl DistAggregator {
         predicates: &[WirePredicate],
         buffer_capacity: usize,
         policy: OverflowPolicy,
-    ) -> Result<DistAggregator, DistError> {
+    ) -> Result<DistAggregator, SessionError> {
         if k == 0 {
-            return Err(DistError::BadOpen("zero workers".into()));
+            return Err(SessionError::BadOpen("zero workers".into()));
         }
-        let compiled = compile_conjunctive(processes, var_names, initial, predicates)
-            .map_err(DistError::BadOpen)?;
-        let monitors = compiled
+        let req = validate_open(processes, var_names, initial, predicates, true)?;
+        let detectors = req
             .predicates
             .iter()
-            .map(|pred| {
-                let participating: Vec<bool> = pred.clauses.iter().map(Option::is_some).collect();
-                let initially: Vec<bool> = (0..processes)
-                    .map(|i| {
-                        pred.clauses[i]
-                            .as_ref()
-                            .is_some_and(|c| c.eval(&compiled.states[i]))
-                    })
-                    .collect();
-                AggPred {
-                    id: pred.id.clone(),
-                    monitor: Box::new(OnlineEfConjunctive::new(
-                        processes,
-                        participating,
-                        initially,
-                    )),
-                    pending: vec![0; processes],
-                    emitted: false,
-                }
-            })
+            .zip(predicates)
+            .map(|(pred, wire)| Detector::open(pred, wire, &req.states, vec![0; processes]))
             .collect();
-        let mut a = DistAggregator {
+        let limits = SessionLimits {
+            buffer_capacity,
+            policy,
+            ..SessionLimits::default()
+        };
+        Ok(DistAggregator {
             k,
-            vars: var_names.to_vec(),
-            predicates: predicates.to_vec(),
-            buffer: CausalBuffer::new(processes, buffer_capacity, policy),
-            monitors,
-            finished: vec![false; processes],
-            monitor_finished: vec![false; processes],
-            delivered: 0,
+            core: Core::new(req.vars, predicates, detectors, processes, limits),
             next_seq: 0,
             reorder: BTreeMap::new(),
-            pending_initial: Vec::new(),
-        };
-        // A predicate can already hold in the initial cut.
-        let mut initial_verdicts = Vec::new();
-        a.collect_settled(&mut initial_verdicts);
-        a.pending_initial = initial_verdicts
-            .into_iter()
-            .map(|s| match s {
-                AggStep::Verdict { predicate, verdict } => (predicate, verdict),
-                other => unreachable!("settle emits verdicts only, got {other:?}"),
-            })
-            .collect();
-        Ok(a)
+        })
     }
 
     /// Verdicts that settled at open time (initial-cut detections).
     pub fn take_initial_verdicts(&mut self) -> Vec<(String, OnlineVerdict)> {
-        std::mem::take(&mut self.pending_initial)
+        pairs(self.core.take_initial_verdicts())
     }
 
     /// The partition width.
@@ -191,17 +148,17 @@ impl DistAggregator {
 
     /// The number of processes.
     pub fn processes(&self) -> usize {
-        self.finished.len()
+        self.core.processes()
     }
 
     /// Updates delivered to the detectors so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.core.delivered()
     }
 
-    /// Updates held in the replica causal buffer.
+    /// Updates held in the causal buffer.
     pub fn held(&self) -> usize {
-        self.buffer.held()
+        self.core.held()
     }
 
     /// Updates parked in the sequence-reorder stage.
@@ -226,123 +183,46 @@ impl DistAggregator {
         out
     }
 
-    /// Processes one in-order update.
+    /// Processes one in-order update through the core, in the order a
+    /// single-backend session checks an event: finish-rejection, then
+    /// the worker's variable refusal, then ingest.
     fn step(&mut self, body: SliceUpdateBody, out: &mut Vec<AggStep>) {
-        match body {
+        let result = match body {
             SliceUpdateBody::Observe {
                 p,
                 clock,
                 holds,
                 invalid,
-            } => self.observe(p, clock, holds, invalid, out),
-            SliceUpdateBody::Finish { p } => {
-                if p >= self.finished.len() {
-                    out.push(AggStep::Error(DistError::BadEvent(format!(
-                        "process {p} out of range"
-                    ))));
-                    return;
+            } => self.core.refuse_finished(p).and_then(|()| {
+                if let Some(message) = invalid {
+                    return Err(SessionError::BadEvent(message));
                 }
-                self.finished[p] = true;
-                self.forward_finishes(out);
-            }
-            SliceUpdateBody::Close => {
-                let discarded = self.buffer.discard_held().len() as u64;
-                for p in 0..self.monitor_finished.len() {
-                    if !self.monitor_finished[p] {
-                        self.monitor_finished[p] = true;
-                        for pred in &mut self.monitors {
-                            if !pred.emitted {
-                                pred.monitor.finish_process(p);
-                            }
+                let clock = VectorClock::from_components(clock);
+                self.core.ingest(p, clock, holds, |d, detectors| {
+                    for (j, det) in detectors.iter_mut().enumerate() {
+                        if det.emitted {
+                            continue;
+                        }
+                        if d.payload.binary_search(&j).is_ok() {
+                            let skipped = std::mem::take(&mut det.stage[d.process]);
+                            det.admit(d.process, skipped, &d.clock);
+                        } else {
+                            det.stage[d.process] += 1;
                         }
                     }
-                }
-                self.collect_settled(out);
+                })
+            }),
+            SliceUpdateBody::Finish { p } => self.core.finish_process(p),
+            SliceUpdateBody::Close => {
+                let (verdicts, discarded) = self.core.close();
+                out.extend(AggStep::verdicts(verdicts));
                 out.push(AggStep::Closed { discarded });
-            }
-        }
-    }
-
-    /// Replays the single-backend event path over a worker's
-    /// observation: finish-rejection, then the worker's variable
-    /// refusal, then replica ingest; detectors see deliveries through
-    /// the deferred-skip bookkeeping.
-    fn observe(
-        &mut self,
-        p: usize,
-        clock: Vec<u32>,
-        holds: Vec<usize>,
-        invalid: Option<String>,
-        out: &mut Vec<AggStep>,
-    ) {
-        if p < self.finished.len() && self.monitor_finished[p] {
-            out.push(AggStep::Error(DistError::AlreadyFinished(p)));
-            return;
-        }
-        if let Some(message) = invalid {
-            out.push(AggStep::Error(DistError::BadEvent(message)));
-            return;
-        }
-        let clock = VectorClock::from_components(clock);
-        let released = match self.buffer.ingest(p, clock, holds) {
-            Ok(released) => released,
-            Err(e) => {
-                out.push(AggStep::Error(DistError::Ingest(e)));
                 return;
             }
         };
-        for d in released {
-            self.delivered += 1;
-            for (j, pred) in self.monitors.iter_mut().enumerate() {
-                if pred.emitted {
-                    continue;
-                }
-                if d.payload.binary_search(&j).is_ok() {
-                    // Flush the deferred skips first, so the detector
-                    // numbers this state exactly as an unfiltered run
-                    // would.
-                    let skipped = std::mem::take(&mut pred.pending[d.process]);
-                    if skipped > 0 {
-                        pred.monitor.skip_states(d.process, skipped);
-                    }
-                    pred.monitor.observe(d.process, true, &d.clock);
-                } else {
-                    pred.pending[d.process] += 1;
-                }
-            }
-        }
-        self.collect_settled(out);
-        // A delivery may have drained the last held update of an
-        // already-finished process.
-        self.forward_finishes(out);
-    }
-
-    /// Forwards client-declared finishes to the detectors once the
-    /// buffer holds nothing more from the process.
-    fn forward_finishes(&mut self, out: &mut Vec<AggStep>) {
-        for p in 0..self.finished.len() {
-            if self.finished[p] && !self.monitor_finished[p] && self.buffer.held_from(p) == 0 {
-                self.monitor_finished[p] = true;
-                for pred in &mut self.monitors {
-                    if !pred.emitted {
-                        pred.monitor.finish_process(p);
-                    }
-                }
-            }
-        }
-        self.collect_settled(out);
-    }
-
-    /// Emits newly settled verdicts, once each.
-    fn collect_settled(&mut self, out: &mut Vec<AggStep>) {
-        for pred in &mut self.monitors {
-            if !pred.emitted && pred.monitor.is_settled() {
-                pred.emitted = true;
-                out.push(AggStep::Verdict {
-                    predicate: pred.id.clone(),
-                    verdict: pred.monitor.verdict().clone(),
-                });
-            }
+        match result {
+            Ok(verdicts) => out.extend(AggStep::verdicts(verdicts)),
+            Err(e) => out.push(AggStep::Error(e)),
         }
     }
 
@@ -350,60 +230,49 @@ impl DistAggregator {
     /// reaching the aggregator directly instead of the gateway's
     /// sequenced close update. Updates still parked in the reorder
     /// stage are abandoned (their `observe`s count as discarded events
-    /// alongside the buffer's held updates), then the normal close
-    /// step runs: stranded holds discarded, detectors finished, final
-    /// verdicts settled.
-    pub fn close_now(&mut self) -> Vec<AggStep> {
+    /// alongside the buffer's held updates), then the core closes as a
+    /// session does: stranded holds discarded, detectors finished,
+    /// final verdicts settled. Returns those verdicts and the discarded
+    /// count.
+    pub fn close(&mut self) -> (Vec<(String, OnlineVerdict)>, u64) {
         let abandoned = self
             .reorder
             .values()
             .filter(|b| matches!(b, SliceUpdateBody::Observe { .. }))
             .count() as u64;
         self.reorder.clear();
-        let mut out = Vec::new();
-        self.step(SliceUpdateBody::Close, &mut out);
-        for step in &mut out {
-            if let AggStep::Closed { discarded } = step {
-                *discarded += abandoned;
-            }
-        }
-        out
+        let (verdicts, discarded) = self.core.close();
+        (pairs(verdicts), discarded + abandoned)
     }
 
     /// The final verdict of every predicate (settled or not), for the
     /// close report.
     pub fn all_verdicts(&self) -> Vec<(String, OnlineVerdict)> {
-        self.monitors
-            .iter()
-            .map(|pred| (pred.id.clone(), pred.monitor.verdict().clone()))
-            .collect()
+        pairs(self.core.all_verdicts())
     }
 
     /// Freezes the aggregator for persistence.
     pub fn snapshot(&self) -> AggregatorSnapshot {
+        let core = &self.core;
         AggregatorSnapshot {
             k: self.k,
-            vars: self.vars.clone(),
-            predicates: self.predicates.clone(),
-            frontier: self.buffer.frontier().to_vec(),
-            held: self
+            vars: core.vars.iter().map(|(_, n)| n.to_string()).collect(),
+            predicates: core.predicates.clone(),
+            frontier: core.buffer.frontier().to_vec(),
+            held: core
                 .buffer
                 .held_events()
                 .map(|(p, clock, holds)| (p, clock.components().to_vec(), holds.clone()))
                 .collect(),
-            finished: self.finished.clone(),
-            monitor_finished: self.monitor_finished.clone(),
-            delivered: self.delivered,
-            monitors: self
-                .monitors
+            finished: core.finished.clone(),
+            monitor_finished: core.monitor_finished.clone(),
+            delivered: core.delivered(),
+            monitors: core
+                .detectors
                 .iter()
-                .map(|pred| {
-                    (
-                        pred.id.clone(),
-                        pred.emitted,
-                        pred.monitor.export_state(),
-                        pred.pending.clone(),
-                    )
+                .map(|d| {
+                    let state = d.monitor.export_state();
+                    (d.id.clone(), d.emitted, state, d.stage.clone())
                 })
                 .collect(),
             next_seq: self.next_seq,
@@ -423,9 +292,9 @@ impl DistAggregator {
         processes: usize,
         buffer_capacity: usize,
         policy: OverflowPolicy,
-    ) -> Result<DistAggregator, DistError> {
+    ) -> Result<DistAggregator, SessionError> {
         let shape =
-            |what: &str| DistError::BadOpen(format!("aggregator snapshot: inconsistent {what}"));
+            |what: &str| SessionError::BadOpen(format!("aggregator snapshot: inconsistent {what}"));
         let mut a = DistAggregator::open(
             snap.k,
             processes,
@@ -435,44 +304,41 @@ impl DistAggregator {
             buffer_capacity,
             policy,
         )?;
-        if snap.frontier.len() != processes
-            || snap.finished.len() != processes
-            || snap.monitor_finished.len() != processes
-            || snap.monitors.len() != a.monitors.len()
-        {
-            return Err(shape("per-process vectors"));
-        }
-        let mut held = Vec::with_capacity(snap.held.len());
-        for (p, clock, holds) in &snap.held {
-            if *p >= processes || clock.len() != processes {
-                return Err(shape("held update"));
-            }
-            held.push((
-                *p,
-                VectorClock::from_components(clock.clone()),
-                holds.clone(),
-            ));
-        }
-        a.buffer = CausalBuffer::restore(snap.frontier.clone(), held, buffer_capacity, policy);
-        for (pred, (id, emitted, state, pending)) in a.monitors.iter_mut().zip(&snap.monitors) {
-            if &pred.id != id {
-                return Err(shape("monitor order"));
-            }
+        let limits = SessionLimits {
+            buffer_capacity,
+            policy,
+            ..SessionLimits::default()
+        };
+        let frozen = FrozenCore {
+            frontier: &snap.frontier,
+            held: snap.held.clone(),
+            finished: &snap.finished,
+            monitor_finished: &snap.monitor_finished,
+            delivered: snap.delivered,
+            monitors: snap
+                .monitors
+                .iter()
+                .map(|(id, emitted, state, _)| (id.as_str(), *emitted, state))
+                .collect(),
+        };
+        a.core.restore(frozen, limits).map_err(shape)?;
+        for (det, (_, _, _, pending)) in a.core.detectors.iter_mut().zip(&snap.monitors) {
             if pending.len() != processes {
                 return Err(shape("pending skips"));
             }
-            pred.monitor = restore_monitor(state);
-            pred.emitted = *emitted;
-            pred.pending.clone_from(pending);
+            det.stage.clone_from(pending);
         }
-        a.finished = snap.finished.clone();
-        a.monitor_finished = snap.monitor_finished.clone();
-        a.delivered = snap.delivered;
         a.next_seq = snap.next_seq;
         a.reorder = snap.reorder.iter().cloned().collect();
-        a.pending_initial.clear();
         Ok(a)
     }
+}
+
+fn pairs(verdicts: Vec<VerdictEvent>) -> Vec<(String, OnlineVerdict)> {
+    verdicts
+        .into_iter()
+        .map(|v| (v.predicate, v.verdict))
+        .collect()
 }
 
 #[cfg(test)]
@@ -560,11 +426,11 @@ mod tests {
     fn errors_mirror_the_single_backend_session() {
         let mut a = agg();
         a.update(0, obs(0, &[1, 0], &[]));
-        // Duplicate clock: re-derived by the replica buffer.
+        // Duplicate clock: re-derived by the causal buffer.
         let steps = a.update(1, obs(0, &[1, 0], &[]));
         assert_eq!(
             steps,
-            vec![AggStep::Error(DistError::Ingest(
+            vec![AggStep::Error(SessionError::Ingest(
                 crate::IngestError::Duplicate { process: 0, seq: 1 }
             ))]
         );
@@ -580,7 +446,7 @@ mod tests {
         );
         assert_eq!(
             steps,
-            vec![AggStep::Error(DistError::BadEvent(
+            vec![AggStep::Error(SessionError::BadEvent(
                 "undeclared variable 'nope'".into()
             ))]
         );
@@ -588,17 +454,20 @@ mod tests {
         let steps = a.update(3, obs(9, &[1, 0], &[]));
         assert!(matches!(
             &steps[0],
-            AggStep::Error(DistError::Ingest(crate::IngestError::BadProcess { .. }))
+            AggStep::Error(SessionError::Ingest(crate::IngestError::BadProcess { .. }))
         ));
         // Finish, then an event for the finished process.
         a.update(4, SliceUpdateBody::Finish { p: 0 });
         let steps = a.update(5, obs(0, &[2, 0], &[0]));
-        assert_eq!(steps, vec![AggStep::Error(DistError::AlreadyFinished(0))]);
+        assert_eq!(
+            steps,
+            vec![AggStep::Error(SessionError::AlreadyFinished(0))]
+        );
         // Finish out of range.
         let steps = a.update(6, SliceUpdateBody::Finish { p: 9 });
         assert_eq!(
             steps,
-            vec![AggStep::Error(DistError::BadEvent(
+            vec![AggStep::Error(SessionError::BadEvent(
                 "process 9 out of range".into()
             ))]
         );

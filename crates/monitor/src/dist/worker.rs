@@ -1,11 +1,11 @@
 //! The worker side of a distributed session.
 //!
-//! A worker owns the processes `p` with [`crate::owner`]`(p, k) == i`
-//! and turns each of their events into one compact slice update for
-//! the aggregator. It is a stripped-down replica of the single-backend
-//! session's *ingest filter* stage: full-width local states, the
-//! slicing membership logic of `hb-slice` (per-predicate variable
-//! footprints and cached clause truth), but **no causal buffer and no
+//! A worker owns the processes `p` with
+//! [`owner`](hb_tracefmt::wire::owner)`(p, k) == i` and turns each of
+//! their events into one compact slice update for the aggregator. It is
+//! a single-backend session's *ingest filter* stage on its own: the
+//! shared open validation, full-width local states, and one
+//! [`SliceFilter`] per predicate, but **no causal buffer and no
 //! detectors** — clause truth of process `p`'s events depends only on
 //! `p`'s own state sequence, so per-process position order suffices
 //! and cross-process causality is left entirely to the aggregator.
@@ -16,7 +16,7 @@
 //! 1. An undeclared variable refuses the event *before* any state
 //!    change; the update carries the exact message in `invalid`.
 //! 2. A process/clock-width mismatch emits an empty-holds update and
-//!    leaves the event to the aggregator's replica buffer, which
+//!    leaves the event to the aggregator's causal buffer, which
 //!    reproduces the single-backend error.
 //! 3. A position replay (`clock[p] <= applied count`) emits an
 //!    empty-holds update: the aggregator classifies it — duplicate if
@@ -33,31 +33,12 @@
 //! gateway routed here is answered by exactly one update by the time
 //! the worker closes.
 
-use crate::compile::{compile_conjunctive, CompiledPredicate};
+use crate::session::{validate_open, CompiledPredicate, SessionError};
 use hb_computation::{LocalState, VarId, VarTable};
-use hb_predicates::LocalExpr;
-use hb_slice::clause_vars;
+use hb_slice::{SliceFilter, SliceState};
 use hb_tracefmt::wire::{SliceUpdateBody, WirePredicate};
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
-
-/// One registered predicate's membership-filter state.
-struct WorkerPred {
-    id: String,
-    /// Per-process local clause (`None` = non-participating).
-    clauses: Vec<Option<LocalExpr>>,
-    /// Per-process clause variable footprint, `None` = non-participating.
-    deps: Vec<Option<Vec<VarId>>>,
-    /// Cached clause truth of each process's current state.
-    holds: Vec<bool>,
-    /// Events applied while this predicate was registered.
-    events_in: u64,
-    /// Applied events that were not slice members.
-    events_filtered: u64,
-    /// Counter watermark already reported through
-    /// [`DistWorker::take_slice_stats`].
-    reported: (u64, u64),
-}
 
 /// An event ahead of its per-process position, waiting for the gap.
 struct HeldEvent {
@@ -103,17 +84,17 @@ pub struct DistWorker {
     states: Vec<LocalState>,
     /// Events applied per process (per-process position frontier).
     counts: Vec<u32>,
-    preds: Vec<WorkerPred>,
+    /// Each predicate's clauses and the membership filter over them.
+    filters: Vec<(CompiledPredicate, SliceFilter)>,
     held: Vec<HeldEvent>,
 }
 
 impl DistWorker {
     /// Opens a worker over the origin session's full open request.
     ///
-    /// Validation is byte-identical to the aggregator's (and the
-    /// single-backend session's), so a malformed open is refused by
-    /// every member of the partition, not just the one the client
-    /// hears from.
+    /// Validation is the single-backend session's, so a malformed open
+    /// is refused by every member of the partition, not just the one
+    /// the client hears from.
     pub fn open(
         worker: usize,
         k: usize,
@@ -121,39 +102,29 @@ impl DistWorker {
         var_names: &[String],
         initial: &[BTreeMap<String, i64>],
         predicates: &[WirePredicate],
-    ) -> Result<DistWorker, String> {
+    ) -> Result<DistWorker, SessionError> {
         if k == 0 || worker >= k {
-            return Err(format!("worker {worker} out of range for k={k}"));
+            return Err(SessionError::BadOpen(format!(
+                "worker {worker} out of range for k={k}"
+            )));
         }
-        let compiled = compile_conjunctive(processes, var_names, initial, predicates)?;
-        let preds = compiled
+        let req = validate_open(processes, var_names, initial, predicates, true)?;
+        let filters = req
             .predicates
-            .iter()
-            .map(|CompiledPredicate { id, clauses }| WorkerPred {
-                id: id.clone(),
-                deps: clauses
-                    .iter()
-                    .map(|c| c.as_ref().map(clause_vars))
-                    .collect(),
-                holds: clauses
-                    .iter()
-                    .zip(&compiled.states)
-                    .map(|(c, s)| c.as_ref().is_none_or(|e| e.eval(s)))
-                    .collect(),
-                clauses: clauses.clone(),
-                events_in: 0,
-                events_filtered: 0,
-                reported: (0, 0),
+            .into_iter()
+            .map(|pred| {
+                let filter = SliceFilter::from_clauses(&pred.clauses, &req.states);
+                (pred, filter)
             })
             .collect();
         Ok(DistWorker {
             worker,
             k,
-            vars: compiled.vars,
+            vars: req.vars,
             predicates: predicates.to_vec(),
-            states: compiled.states,
+            states: req.states,
             counts: vec![0; processes],
-            preds,
+            filters,
             held: Vec::new(),
         })
     }
@@ -180,17 +151,13 @@ impl DistWorker {
     ) -> Vec<(u64, SliceUpdateBody)> {
         // Variable validation first, mirroring the single-backend
         // session (which resolves variables before ingesting).
-        for vname in set.keys() {
-            if self.vars.lookup(vname).is_none() {
-                return vec![(
-                    seq,
-                    refusal(p, &clock, Some(format!("undeclared variable '{vname}'"))),
-                )];
-            }
+        if let Some(vname) = set.keys().find(|v| self.vars.lookup(v).is_none()) {
+            let message = format!("undeclared variable '{vname}'");
+            return vec![(seq, refusal(p, &clock, Some(message)))];
         }
         let n = self.states.len();
         if p >= n || clock.width() != n {
-            // The aggregator's replica buffer re-derives the exact
+            // The aggregator's causal buffer re-derives the exact
             // BadProcess/BadClockWidth refusal from the same fields.
             return vec![(seq, refusal(p, &clock, None))];
         }
@@ -234,23 +201,16 @@ impl DistWorker {
         }
         let state = &self.states[p];
         let mut holds = Vec::new();
-        for (j, pred) in self.preds.iter_mut().enumerate() {
-            pred.events_in += 1;
-            let Some(dep) = &pred.deps[p] else {
-                pred.events_filtered += 1;
-                continue;
-            };
-            if touched.iter().any(|v| dep.contains(v)) {
-                pred.holds[p] = pred.clauses[p]
-                    .as_ref()
-                    .expect("participating process has a clause")
-                    .eval(state);
-            }
-            if pred.holds[p] {
+        for (j, (pred, filter)) in self.filters.iter_mut().enumerate() {
+            let clause = pred.clauses[p].as_ref();
+            let delta = filter.advance(p, touched.iter().copied(), || {
+                clause.is_some_and(|c| c.eval(state))
+            });
+            if delta.is_member() {
                 holds.push(j);
-            } else {
-                pred.events_filtered += 1;
             }
+            // Skips are deferred at the aggregator, not here.
+            filter.take_pending(p);
         }
         SliceUpdateBody::Observe {
             p,
@@ -293,19 +253,16 @@ impl DistWorker {
     }
 
     /// Per-predicate filter counters not yet reported:
-    /// `(predicate id, Δevents_in, Δevents_filtered)`. Watermarked like
-    /// the single-backend session's slice stats.
+    /// `(predicate id, Δevents_in, Δevents_filtered)`, exactly like a
+    /// session's [`take_slice_stats`](crate::Session::take_slice_stats).
     pub fn take_slice_stats(&mut self) -> Vec<(String, u64, u64)> {
-        let mut out = Vec::new();
-        for pred in &mut self.preds {
-            let delta_in = pred.events_in - pred.reported.0;
-            let delta_filtered = pred.events_filtered - pred.reported.1;
-            if delta_in > 0 || delta_filtered > 0 {
-                pred.reported = (pred.events_in, pred.events_filtered);
-                out.push((pred.id.clone(), delta_in, delta_filtered));
-            }
-        }
-        out
+        self.filters
+            .iter_mut()
+            .filter_map(|(pred, filter)| {
+                let (events_in, events_filtered) = filter.take_counts()?;
+                Some((pred.id.clone(), events_in, events_filtered))
+            })
+            .collect()
     }
 
     /// Freezes the worker for persistence.
@@ -317,11 +274,11 @@ impl DistWorker {
             predicates: self.predicates.clone(),
             states: self.states.iter().map(|s| s.values().to_vec()).collect(),
             counts: self.counts.clone(),
-            holds: self.preds.iter().map(|p| p.holds.clone()).collect(),
+            holds: self.filters.iter().map(|(_, f)| f.export().holds).collect(),
             filtered: self
-                .preds
+                .filters
                 .iter()
-                .map(|p| (p.events_in, p.events_filtered))
+                .map(|(_, f)| (f.events_in(), f.events_filtered()))
                 .collect(),
             held: self
                 .held
@@ -332,10 +289,11 @@ impl DistWorker {
     }
 
     /// Rebuilds a worker from a snapshot. The report watermark
-    /// restarts at zero, like the session's slice stats: the first
-    /// flush resyncs fresh metrics with the recovered totals.
-    pub fn restore(snap: &WorkerSnapshot, processes: usize) -> Result<DistWorker, String> {
-        let shape = |what: &str| format!("worker snapshot: inconsistent {what}");
+    /// restarts at zero, like a session's slice stats: the first flush
+    /// resyncs fresh metrics with the recovered totals.
+    pub fn restore(snap: &WorkerSnapshot, processes: usize) -> Result<DistWorker, SessionError> {
+        let shape =
+            |what: &str| SessionError::BadOpen(format!("worker snapshot: inconsistent {what}"));
         let mut w = DistWorker::open(
             snap.worker,
             snap.k,
@@ -346,8 +304,8 @@ impl DistWorker {
         )?;
         if snap.states.len() != processes
             || snap.counts.len() != processes
-            || snap.holds.len() != w.preds.len()
-            || snap.filtered.len() != w.preds.len()
+            || snap.holds.len() != w.filters.len()
+            || snap.filtered.len() != w.filters.len()
         {
             return Err(shape("per-process vectors"));
         }
@@ -357,24 +315,23 @@ impl DistWorker {
             .map(|v| LocalState::from_values(v.clone()))
             .collect();
         w.counts = snap.counts.clone();
-        for ((pred, holds), &(events_in, events_filtered)) in
-            w.preds.iter_mut().zip(&snap.holds).zip(&snap.filtered)
+        for (((_, filter), holds), &(events_in, events_filtered)) in
+            w.filters.iter_mut().zip(&snap.holds).zip(&snap.filtered)
         {
-            if holds.len() != processes {
-                return Err(shape("holds cache"));
-            }
-            pred.holds.clone_from(holds);
-            pred.events_in = events_in;
-            pred.events_filtered = events_filtered;
+            let state = SliceState {
+                holds: holds.clone(),
+                pending: vec![0; processes],
+                events_in,
+                events_filtered,
+            };
+            filter.restore(&state).map_err(|_| shape("holds cache"))?;
         }
         for (seq, p, clock, set) in &snap.held {
             if *p >= processes || clock.len() != processes {
                 return Err(shape("held event"));
             }
-            for vname in set.keys() {
-                if w.vars.lookup(vname).is_none() {
-                    return Err(shape("held variable"));
-                }
+            if set.keys().any(|v| w.vars.lookup(v).is_none()) {
+                return Err(shape("held variable"));
             }
             w.held.push(HeldEvent {
                 seq: *seq,
@@ -496,7 +453,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Out-of-range process / bad clock width: deferred to the
-        // aggregator's replica buffer.
+        // aggregator's causal buffer.
         let u = w.observe(3, 9, vc(&[1, 0]), &set(&[]));
         assert!(matches!(
             &u[0].1,

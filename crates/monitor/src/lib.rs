@@ -7,7 +7,7 @@
 //! temporal-logic verdicts — `EF φ` detected at its least satisfying
 //! cut, or impossible — while the computation is still running.
 //!
-//! Three layers, bottom up:
+//! The layers, bottom up:
 //!
 //! - [`buffer`] — per-session **causal delivery**: events may arrive in
 //!   any order consistent with transport reordering; a bounded hold
@@ -17,11 +17,16 @@
 //!   reject with backpressure, or drop newest.
 //! - [`session`] — one monitored computation: variable namespace,
 //!   per-process local states, registered predicates, and one on-line
-//!   detector per predicate fed by the causal buffer.
-//! - [`service`] — the shared runtime: sessions sharded across worker
-//!   threads, an in-process client handle, a TCP wire-protocol
-//!   transport (see [`hb_tracefmt::wire`]), atomic [`metrics`], and
-//!   graceful shutdown that flushes every session to a final verdict.
+//!   detector per predicate fed by the causal buffer, through a
+//!   detection core shared with the distributed aggregator.
+//! - [`dist`] — distributed detection (wire v5): the worker partitions
+//!   that compute slice-membership bits and the aggregator that feeds
+//!   them to the session's detection core.
+//! - [`service`] — the shared runtime: sessions of all three roles
+//!   (plain, worker, aggregator) sharded across worker threads, an
+//!   in-process client handle, a TCP wire-protocol transport (see
+//!   [`hb_tracefmt::wire`]), atomic [`metrics`], and graceful shutdown
+//!   that flushes every session to a final verdict.
 //! - [`persist`] — durable state: with a data directory configured, the
 //!   service write-ahead-logs every client message (via [`hb_store`])
 //!   before acknowledging it and snapshots all sessions periodically,
@@ -29,11 +34,8 @@
 
 #![warn(missing_docs)]
 
-/// Per-session causal delivery buffering. The implementation moved to
-/// [`hb_dist`] so the distributed aggregator can replicate the exact
-/// single-backend hold/duplicate/overflow behavior; this alias keeps
-/// the monitor-side paths working.
-pub use hb_dist::buffer;
+pub mod buffer;
+pub mod dist;
 pub mod metrics;
 pub mod persist;
 pub mod service;

@@ -14,11 +14,11 @@
 //!
 //! [`ClientMsg`]: hb_tracefmt::wire::ClientMsg
 
+use crate::dist::{AggregatorSnapshot, WorkerSnapshot};
 use hb_detect::online::{
     CandidateState, ConjunctiveState, DetectorState, DisjunctiveState, PatternChainState,
     PatternState, VerdictState,
 };
-use hb_dist::{AggregatorSnapshot, WorkerSnapshot};
 use hb_slice::SliceState;
 use hb_store::SyncPolicy;
 use hb_tracefmt::wire::WirePredicate;
@@ -160,6 +160,28 @@ impl ServiceSnapshot {
 
 // ---- serde ---------------------------------------------------------------
 
+fn required<'a>(v: &'a Value, name: &str) -> Result<&'a Value, DeError> {
+    v.get(name)
+        .ok_or_else(|| DeError::msg(format!("missing field '{name}'")))
+}
+
+/// Decodes an array element by element.
+fn items<T>(value: &Value, item: impl Fn(&Value) -> Result<T, DeError>) -> Result<Vec<T>, DeError> {
+    let Value::Array(values) = value else {
+        return Err(DeError::expected("array", value));
+    };
+    values.iter().map(item).collect()
+}
+
+/// Decodes the required array field `name` element by element.
+fn array<T>(
+    v: &Value,
+    name: &str,
+    item: impl Fn(&Value) -> Result<T, DeError>,
+) -> Result<Vec<T>, DeError> {
+    items(required(v, name)?, item)
+}
+
 fn verdict_to_value(v: &VerdictState) -> Value {
     match v {
         VerdictState::Detected(cut) => Value::Object(vec![
@@ -262,82 +284,28 @@ fn detector_to_value(d: &DetectorState) -> Value {
 fn detector_from_value(v: &Value) -> Result<DetectorState, DeError> {
     let kind: String = help::field(v, "kind")?;
     match kind.as_str() {
-        "conjunctive" => {
-            let queues_value = v
-                .get("queues")
-                .ok_or_else(|| DeError::msg("missing field 'queues'"))?;
-            let Value::Array(queue_values) = queues_value else {
-                return Err(DeError::expected("array", queues_value));
-            };
-            let mut queues = Vec::with_capacity(queue_values.len());
-            for qv in queue_values {
-                let Value::Array(cands) = qv else {
-                    return Err(DeError::expected("array", qv));
-                };
-                queues.push(
-                    cands
-                        .iter()
-                        .map(candidate_from_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                );
-            }
-            let verdict = verdict_from_value(
-                v.get("verdict")
-                    .ok_or_else(|| DeError::msg("missing field 'verdict'"))?,
-            )?;
-            Ok(DetectorState::Conjunctive(ConjunctiveState {
-                n: help::field(v, "n")?,
-                queues,
-                participating: help::field(v, "participating")?,
-                seen: help::field(v, "seen")?,
-                finished: help::field(v, "finished")?,
-                verdict,
-            }))
-        }
-        "disjunctive" => {
-            let verdict = verdict_from_value(
-                v.get("verdict")
-                    .ok_or_else(|| DeError::msg("missing field 'verdict'"))?,
-            )?;
-            Ok(DetectorState::Disjunctive(DisjunctiveState {
-                seen: help::field(v, "seen")?,
-                live: help::field(v, "live")?,
-                verdict,
-            }))
-        }
-        "pattern" => {
-            let frontiers_value = v
-                .get("frontiers")
-                .ok_or_else(|| DeError::msg("missing field 'frontiers'"))?;
-            let Value::Array(frontier_values) = frontiers_value else {
-                return Err(DeError::expected("array", frontiers_value));
-            };
-            let mut frontiers = Vec::with_capacity(frontier_values.len());
-            for fv in frontier_values {
-                let Value::Array(chains) = fv else {
-                    return Err(DeError::expected("array", fv));
-                };
-                frontiers.push(
-                    chains
-                        .iter()
-                        .map(chain_from_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                );
-            }
-            let verdict = verdict_from_value(
-                v.get("verdict")
-                    .ok_or_else(|| DeError::msg("missing field 'verdict'"))?,
-            )?;
-            Ok(DetectorState::Pattern(PatternState {
-                n: help::field(v, "n")?,
-                causal: help::field(v, "causal")?,
-                frontiers,
-                candidates: help::field(v, "candidates")?,
-                finished: help::field(v, "finished")?,
-                seen: help::field(v, "seen")?,
-                verdict,
-            }))
-        }
+        "conjunctive" => Ok(DetectorState::Conjunctive(ConjunctiveState {
+            n: help::field(v, "n")?,
+            queues: array(v, "queues", |q| items(q, candidate_from_value))?,
+            participating: help::field(v, "participating")?,
+            seen: help::field(v, "seen")?,
+            finished: help::field(v, "finished")?,
+            verdict: verdict_from_value(required(v, "verdict")?)?,
+        })),
+        "disjunctive" => Ok(DetectorState::Disjunctive(DisjunctiveState {
+            seen: help::field(v, "seen")?,
+            live: help::field(v, "live")?,
+            verdict: verdict_from_value(required(v, "verdict")?)?,
+        })),
+        "pattern" => Ok(DetectorState::Pattern(PatternState {
+            n: help::field(v, "n")?,
+            causal: help::field(v, "causal")?,
+            frontiers: array(v, "frontiers", |f| items(f, chain_from_value))?,
+            candidates: help::field(v, "candidates")?,
+            finished: help::field(v, "finished")?,
+            seen: help::field(v, "seen")?,
+            verdict: verdict_from_value(required(v, "verdict")?)?,
+        })),
         other => Err(DeError::msg(format!("unknown detector kind '{other}'"))),
     }
 }
@@ -402,10 +370,7 @@ impl Deserialize for MonitorSnapshot {
         Ok(MonitorSnapshot {
             id: help::field(v, "id")?,
             emitted: help::field(v, "emitted")?,
-            state: detector_from_value(
-                v.get("state")
-                    .ok_or_else(|| DeError::msg("missing field 'state'"))?,
-            )?,
+            state: detector_from_value(required(v, "state")?)?,
             slice: v.get("slice").map(slice_from_value).transpose()?,
         })
     }
@@ -498,36 +463,6 @@ impl Serialize for WorkerSlotSnapshot {
 impl Deserialize for WorkerSlotSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         help::object(v)?;
-        let filtered_value = v
-            .get("filtered")
-            .ok_or_else(|| DeError::msg("missing field 'filtered'"))?;
-        let Value::Array(filtered_values) = filtered_value else {
-            return Err(DeError::expected("array", filtered_value));
-        };
-        let mut filtered = Vec::with_capacity(filtered_values.len());
-        for fv in filtered_values {
-            help::object(fv)?;
-            filtered.push((
-                help::field(fv, "events_in")?,
-                help::field(fv, "events_filtered")?,
-            ));
-        }
-        let held_value = v
-            .get("held")
-            .ok_or_else(|| DeError::msg("missing field 'held'"))?;
-        let Value::Array(held_values) = held_value else {
-            return Err(DeError::expected("array", held_value));
-        };
-        let mut held = Vec::with_capacity(held_values.len());
-        for hv in held_values {
-            help::object(hv)?;
-            held.push((
-                help::field(hv, "seq")?,
-                help::field(hv, "process")?,
-                help::field(hv, "clock")?,
-                help::field_or_default(hv, "set")?,
-            ));
-        }
         Ok(WorkerSlotSnapshot {
             name: help::field(v, "name")?,
             origin: help::field(v, "origin")?,
@@ -539,8 +474,22 @@ impl Deserialize for WorkerSlotSnapshot {
                 states: help::field_or_default(v, "states")?,
                 counts: help::field_or_default(v, "counts")?,
                 holds: help::field_or_default(v, "holds")?,
-                filtered,
-                held,
+                filtered: array(v, "filtered", |f| {
+                    help::object(f)?;
+                    Ok((
+                        help::field(f, "events_in")?,
+                        help::field(f, "events_filtered")?,
+                    ))
+                })?,
+                held: array(v, "held", |h| {
+                    help::object(h)?;
+                    Ok((
+                        help::field(h, "seq")?,
+                        help::field(h, "process")?,
+                        help::field(h, "clock")?,
+                        help::field_or_default(h, "set")?,
+                    ))
+                })?,
             },
         })
     }
@@ -612,51 +561,6 @@ impl Serialize for AggregatorSlotSnapshot {
 impl Deserialize for AggregatorSlotSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         help::object(v)?;
-        let held_value = v
-            .get("held")
-            .ok_or_else(|| DeError::msg("missing field 'held'"))?;
-        let Value::Array(held_values) = held_value else {
-            return Err(DeError::expected("array", held_value));
-        };
-        let mut held = Vec::with_capacity(held_values.len());
-        for hv in held_values {
-            help::object(hv)?;
-            held.push((
-                help::field(hv, "process")?,
-                help::field(hv, "clock")?,
-                help::field_or_default(hv, "holds")?,
-            ));
-        }
-        let monitors_value = v
-            .get("monitors")
-            .ok_or_else(|| DeError::msg("missing field 'monitors'"))?;
-        let Value::Array(monitor_values) = monitors_value else {
-            return Err(DeError::expected("array", monitors_value));
-        };
-        let mut monitors = Vec::with_capacity(monitor_values.len());
-        for mv in monitor_values {
-            help::object(mv)?;
-            monitors.push((
-                help::field(mv, "id")?,
-                help::field(mv, "emitted")?,
-                detector_from_value(
-                    mv.get("state")
-                        .ok_or_else(|| DeError::msg("missing field 'state'"))?,
-                )?,
-                help::field_or_default(mv, "pending")?,
-            ));
-        }
-        let reorder_value = v
-            .get("reorder")
-            .ok_or_else(|| DeError::msg("missing field 'reorder'"))?;
-        let Value::Array(reorder_values) = reorder_value else {
-            return Err(DeError::expected("array", reorder_value));
-        };
-        let mut reorder = Vec::with_capacity(reorder_values.len());
-        for rv in reorder_values {
-            help::object(rv)?;
-            reorder.push((help::field(rv, "seq")?, help::field(rv, "update")?));
-        }
         Ok(AggregatorSlotSnapshot {
             name: help::field(v, "name")?,
             processes: help::field(v, "processes")?,
@@ -665,13 +569,31 @@ impl Deserialize for AggregatorSlotSnapshot {
                 vars: help::field_or_default(v, "vars")?,
                 predicates: help::field_or_default(v, "predicates")?,
                 frontier: help::field_or_default(v, "frontier")?,
-                held,
+                held: array(v, "held", |h| {
+                    help::object(h)?;
+                    Ok((
+                        help::field(h, "process")?,
+                        help::field(h, "clock")?,
+                        help::field_or_default(h, "holds")?,
+                    ))
+                })?,
                 finished: help::field_or_default(v, "finished")?,
                 monitor_finished: help::field_or_default(v, "monitor_finished")?,
                 delivered: help::field_or_default(v, "delivered")?,
-                monitors,
+                monitors: array(v, "monitors", |m| {
+                    help::object(m)?;
+                    Ok((
+                        help::field(m, "id")?,
+                        help::field(m, "emitted")?,
+                        detector_from_value(required(m, "state")?)?,
+                        help::field_or_default(m, "pending")?,
+                    ))
+                })?,
                 next_seq: help::field_or_default(v, "next_seq")?,
-                reorder,
+                reorder: array(v, "reorder", |r| {
+                    help::object(r)?;
+                    Ok((help::field(r, "seq")?, help::field(r, "update")?))
+                })?,
             },
         })
     }
@@ -832,7 +754,8 @@ mod tests {
 
     #[test]
     fn distributed_slots_round_trip_through_json() {
-        use hb_dist::{DistAggregator, DistWorker, OverflowPolicy};
+        use crate::dist::{DistAggregator, DistWorker};
+        use crate::OverflowPolicy;
         use hb_tracefmt::wire::SliceUpdateBody;
 
         let preds = vec![WirePredicate {

@@ -43,14 +43,12 @@
 //! verdicts are emitted — before the workers exit.
 
 use crate::buffer::IngestError;
+use crate::dist::{AggStep, DistAggregator, DistWorker};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::persist::{
-    AggregatorSlotSnapshot, PersistConfig, ServiceSnapshot, SessionSnapshot, WorkerSlotSnapshot,
-};
+use crate::persist::{AggregatorSlotSnapshot, PersistConfig, ServiceSnapshot, WorkerSlotSnapshot};
 use crate::session::{Session, SessionError, SessionLimits, VerdictEvent};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hb_detect::online::OnlineVerdict;
-use hb_dist::{AggStep, DistAggregator, DistError, DistWorker};
 use hb_store::{Store, StoreError, StoreOptions};
 use hb_tracefmt::wire::{
     self, ClientMsg, ServerMsg, SliceUpdateBody, WireDistRole, WireMode, WirePredicate, WireVerdict,
@@ -63,7 +61,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -102,65 +100,17 @@ impl Default for MonitorConfig {
 
 /// A command routed to a shard worker.
 enum Cmd {
-    Open {
-        session: String,
-        processes: usize,
-        vars: Vec<String>,
-        initial: Vec<BTreeMap<String, i64>>,
-        predicates: Vec<WirePredicate>,
-        /// `Some` opens a distributed-session member (worker partition
-        /// or aggregator) instead of a plain session.
-        dist: Option<WireDistRole>,
-        sink: Sender<ServerMsg>,
-    },
-    /// A gateway-routed event for a worker partition (wire v5). The
-    /// worker answers with `ServerMsg::SliceUpdate` frames the gateway
-    /// relays to the session's aggregator.
-    DistEvent {
-        session: String,
-        seq: u64,
-        event: wire::EventFrame,
-        sink: Sender<ServerMsg>,
-    },
-    /// A sequenced slice update for an aggregator (wire v5): a relayed
-    /// worker observation, or the gateway-originated finish/close.
-    SliceUpdate {
-        session: String,
-        seq: u64,
-        update: SliceUpdateBody,
-        sink: Sender<ServerMsg>,
-    },
-    Event {
-        session: String,
-        p: usize,
-        clock: Vec<u32>,
-        set: BTreeMap<String, i64>,
-        /// Errors go here when the session itself is unknown.
-        sink: Sender<ServerMsg>,
-    },
-    /// A wire-v3 batch: WAL-appended atomically by the handle, then
-    /// delivered here as one command whose members feed the causal
-    /// buffer one at a time — verdicts are identical to the unbatched
-    /// stream by construction.
-    EventBatch {
-        session: String,
-        events: Vec<wire::EventFrame>,
-        sink: Sender<ServerMsg>,
-    },
-    Finish {
-        session: String,
-        p: usize,
-        sink: Sender<ServerMsg>,
-    },
-    Close {
-        session: String,
+    /// A session frame, already write-ahead-logged when persistence is
+    /// on; replies and errors go to `sink`.
+    Client {
+        msg: ClientMsg,
         sink: Sender<ServerMsg>,
     },
     /// Freeze every session on this shard and reply with the batch.
     /// The sender holds the WAL lock while waiting, so everything the
     /// shard saw before this command is — by construction — at a lower
     /// WAL position than the snapshot will claim.
-    Snapshot { reply: Sender<ShardFreeze> },
+    Snapshot { reply: Sender<ServiceSnapshot> },
     /// Close every remaining session and stop the worker (graceful
     /// shutdown). Handles may outlive the service, so workers cannot
     /// rely on channel disconnection to learn about shutdown.
@@ -217,44 +167,14 @@ fn dead_sink() -> Sender<ServerMsg> {
     unbounded().0
 }
 
-/// The sessions a recovery rebuilds before the shard workers start:
-/// plain sessions plus distributed-session members.
-#[derive(Default)]
-struct Recovered {
-    sessions: HashMap<String, Session>,
-    /// Worker partitions by decorated name, with their origin session.
-    workers: HashMap<String, (String, DistWorker)>,
-    /// Aggregators by origin session name.
-    aggregators: HashMap<String, DistAggregator>,
-}
-
-/// One recovered slot handed to a shard worker as initial state.
-enum SeedSlot {
-    Local(Session),
-    Worker {
-        name: String,
-        origin: String,
-        engine: DistWorker,
-    },
-    Aggregator {
-        name: String,
-        engine: DistAggregator,
-    },
-}
-
-/// One shard's frozen state, collected by the snapshot barrier.
-#[derive(Default)]
-struct ShardFreeze {
-    sessions: Vec<SessionSnapshot>,
-    workers: Vec<WorkerSlotSnapshot>,
-    aggregators: Vec<AggregatorSlotSnapshot>,
-}
-
-/// Re-applies one replayed WAL record to the recovering session maps.
-/// Errors are ignored: they were reported to the original client when
-/// the record was first acknowledged, and replay must be idempotent
-/// over them.
-fn apply_replayed(msg: ClientMsg, state: &mut Recovered, limits: SessionLimits) {
+/// Re-applies one replayed WAL record to the recovering slots. Errors
+/// are ignored: they were reported to the original client when the
+/// record was first acknowledged, and replay must be idempotent over
+/// them.
+fn apply_replayed(msg: ClientMsg, slots: &mut Slots, limits: SessionLimits) {
+    fn role<'a>(slots: &'a mut Slots, session: &str) -> Option<&'a mut Role> {
+        slots.get_mut(session).map(|slot| &mut slot.role)
+    }
     match msg {
         ClientMsg::Open {
             session,
@@ -263,84 +183,56 @@ fn apply_replayed(msg: ClientMsg, state: &mut Recovered, limits: SessionLimits) 
             initial,
             predicates,
             dist,
-        } => match dist {
-            None => {
-                if let Entry::Vacant(slot) = state.sessions.entry(session) {
-                    if let Ok(mut s) =
-                        Session::open(slot.key(), processes, &vars, &initial, &predicates, limits)
-                    {
-                        let _ = s.take_initial_verdicts();
-                        slot.insert(s);
-                    }
+        } => {
+            if let Entry::Vacant(slot) = slots.entry(session) {
+                let opened = Role::open(
+                    slot.key(),
+                    processes,
+                    &vars,
+                    &initial,
+                    &predicates,
+                    dist,
+                    limits,
+                );
+                if let Ok(mut role) = opened {
+                    let _ = role.take_initial_verdicts();
+                    slot.insert(Slot::detached(role));
                 }
             }
-            Some(WireDistRole::Worker { origin, worker, k }) => {
-                if let Entry::Vacant(slot) = state.workers.entry(session) {
-                    if let Ok(w) =
-                        DistWorker::open(worker, k, processes, &vars, &initial, &predicates)
-                    {
-                        slot.insert((origin, w));
-                    }
-                }
-            }
-            Some(WireDistRole::Aggregator { k }) => {
-                if let Entry::Vacant(slot) = state.aggregators.entry(session) {
-                    if let Ok(mut a) = DistAggregator::open(
-                        k,
-                        processes,
-                        &vars,
-                        &initial,
-                        &predicates,
-                        limits.buffer_capacity,
-                        limits.policy,
-                    ) {
-                        let _ = a.take_initial_verdicts();
-                        slot.insert(a);
-                    }
-                }
-            }
-            // Refused at the handle, never written to the WAL.
-            Some(WireDistRole::Distribute { .. }) => {}
-        },
+        }
         ClientMsg::Event {
             session,
             p,
             clock,
             set,
         } => {
-            if let Some(s) = state.sessions.get_mut(&session) {
+            if let Some(Role::Plain(s)) = role(slots, &session) {
                 let _ = s.event(p, VectorClock::from_components(clock), &set);
             }
         }
         ClientMsg::Events { session, events } => {
-            if let Some(s) = state.sessions.get_mut(&session) {
+            if let Some(Role::Plain(s)) = role(slots, &session) {
                 for e in events {
                     let _ = s.event(e.p, VectorClock::from_components(e.clock), &e.set);
                 }
             }
         }
         ClientMsg::FinishProcess { session, p } => {
-            if let Some(s) = state.sessions.get_mut(&session) {
+            if let Some(Role::Plain(s)) = role(slots, &session) {
                 let _ = s.finish_process(p);
             }
         }
         ClientMsg::Close { session } => {
-            state.sessions.remove(&session);
-            state.workers.remove(&session);
-            state.aggregators.remove(&session);
+            slots.remove(&session);
         }
         ClientMsg::DistEvent {
             session,
             seq,
             event,
         } => {
-            if let Some((_, w)) = state.workers.get_mut(&session) {
-                let _ = w.observe(
-                    seq,
-                    event.p,
-                    VectorClock::from_components(event.clock),
-                    &event.set,
-                );
+            if let Some(Role::Worker { engine, .. }) = role(slots, &session) {
+                let clock = VectorClock::from_components(event.clock);
+                let _ = engine.observe(seq, event.p, clock, &event.set);
             }
         }
         ClientMsg::SliceUpdate {
@@ -348,15 +240,11 @@ fn apply_replayed(msg: ClientMsg, state: &mut Recovered, limits: SessionLimits) 
             seq,
             update,
         } => {
-            let closed = match state.aggregators.get_mut(&session) {
-                Some(a) => a
-                    .update(seq, update)
-                    .iter()
-                    .any(|s| matches!(s, AggStep::Closed { .. })),
-                None => false,
-            };
-            if closed {
-                state.aggregators.remove(&session);
+            if let Some(Role::Aggregator(a)) = role(slots, &session) {
+                let steps = a.update(seq, update);
+                if steps.iter().any(|s| matches!(s, AggStep::Closed { .. })) {
+                    slots.remove(&session);
+                }
             }
         }
         // Answered inline by `submit`, never written to the WAL.
@@ -441,7 +329,7 @@ impl MonitorService {
         // Recovery happens before the first worker spawns: the rebuilt
         // sessions are handed over as worker initial state, so no new
         // input can interleave with the replay.
-        let mut initial: Vec<Vec<SeedSlot>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut initial: Vec<Slots> = (0..shards).map(|_| Slots::new()).collect();
         let wal: Option<SharedWal> = match &config.persist {
             None => None,
             Some(p) => {
@@ -453,37 +341,11 @@ impl MonitorService {
                         sync: p.sync,
                     },
                 )?;
-                let mut state = Recovered::default();
+                let mut slots = Slots::new();
                 let mut from_seq = 0;
                 if let Some((seq, payload)) = store.load_snapshot()? {
                     let snap = ServiceSnapshot::from_json(&payload).map_err(StoreError::Corrupt)?;
-                    for s in &snap.sessions {
-                        let restored = Session::restore(s, config.limits).map_err(|e| {
-                            StoreError::Corrupt(format!("restore session '{}': {e}", s.name))
-                        })?;
-                        state.sessions.insert(s.name.clone(), restored);
-                    }
-                    for w in &snap.workers {
-                        let engine =
-                            DistWorker::restore(&w.snap, w.snap.states.len()).map_err(|e| {
-                                StoreError::Corrupt(format!("restore worker '{}': {e}", w.name))
-                            })?;
-                        state
-                            .workers
-                            .insert(w.name.clone(), (w.origin.clone(), engine));
-                    }
-                    for a in &snap.aggregators {
-                        let engine = DistAggregator::restore(
-                            &a.snap,
-                            a.processes,
-                            config.limits.buffer_capacity,
-                            config.limits.policy,
-                        )
-                        .map_err(|e| {
-                            StoreError::Corrupt(format!("restore aggregator '{}': {e}", a.name))
-                        })?;
-                        state.aggregators.insert(a.name.clone(), engine);
-                    }
+                    slots = thaw(&snap, config.limits).map_err(StoreError::Corrupt)?;
                     from_seq = seq;
                 }
                 let mut replayed = 0u64;
@@ -496,14 +358,13 @@ impl MonitorService {
                         .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
                     let msg = ClientMsg::from_value(&value)
                         .map_err(|e| StoreError::Corrupt(format!("wal record {seq}: {e}")))?;
-                    apply_replayed(msg, &mut state, config.limits);
+                    apply_replayed(msg, &mut slots, config.limits);
                     replayed += 1;
                 }
                 let report = store.recovery_report();
-                metrics.sessions_recovered.store(
-                    (state.sessions.len() + state.workers.len() + state.aggregators.len()) as u64,
-                    Ordering::Relaxed,
-                );
+                metrics
+                    .sessions_recovered
+                    .store(slots.len() as u64, Ordering::Relaxed);
                 metrics.recovery_replayed.store(replayed, Ordering::Relaxed);
                 metrics
                     .recovery_truncated_bytes
@@ -514,20 +375,8 @@ impl MonitorService {
                 if let Some(secs) = store.stats().snapshot_unix_secs {
                     metrics.snapshot_unix_secs.store(secs, Ordering::Relaxed);
                 }
-                for (name, session) in state.sessions {
-                    initial[shard_index_of(&name, shards)].push(SeedSlot::Local(session));
-                }
-                for (name, (origin, engine)) in state.workers {
-                    let shard = shard_index_of(&name, shards);
-                    initial[shard].push(SeedSlot::Worker {
-                        name,
-                        origin,
-                        engine,
-                    });
-                }
-                for (name, engine) in state.aggregators {
-                    let shard = shard_index_of(&name, shards);
-                    initial[shard].push(SeedSlot::Aggregator { name, engine });
+                for (name, slot) in slots {
+                    initial[shard_index_of(&name, shards)].insert(name, slot);
                 }
                 Some(Arc::new(Mutex::new(WalInner {
                     store,
@@ -652,7 +501,15 @@ impl MonitorHandle {
     /// answered with `Bye` — shutting the service down is the owner's
     /// call via [`MonitorService::shutdown`].
     pub fn submit(&self, msg: ClientMsg, sink: &Sender<ServerMsg>) {
-        match &msg {
+        let refuse = |session: Option<&String>, kind: Option<&str>, message: String| {
+            self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            let _ = sink.send(ServerMsg::Error {
+                session: session.cloned(),
+                kind: kind.map(str::to_string),
+                message,
+            });
+        };
+        let session = match &msg {
             ClientMsg::Stats => {
                 let _ = sink.send(ServerMsg::Stats {
                     counters: self.metrics.snapshot().to_map(),
@@ -670,41 +527,23 @@ impl MonitorHandle {
                     Ok(version) => {
                         let _ = sink.send(ServerMsg::Welcome { version });
                     }
-                    Err(message) => {
-                        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = sink.send(ServerMsg::Error {
-                            session: None,
-                            kind: None,
-                            message,
-                        });
-                    }
+                    Err(message) => refuse(None, None, message),
                 }
                 return;
             }
             ClientMsg::Drain { backend } => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: format!(
-                        "cannot drain '{backend}': this is a monitor backend, \
-                         not a gateway — point `hbtl gateway drain` at the gateway"
-                    ),
-                });
-                return;
+                let message = format!(
+                    "cannot drain '{backend}': this is a monitor backend, \
+                     not a gateway — point `hbtl gateway drain` at the gateway"
+                );
+                return refuse(None, None, message);
             }
             // A pre-v3 build has no `events` decoder; answering the way
             // its parser would keeps the emulation honest for
             // compatibility tests (the SDK never triggers this — it
             // falls back to single frames after the handshake).
             ClientMsg::Events { .. } if self.wire_version < 3 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: "unknown client message 'events'".into(),
-                });
-                return;
+                return refuse(None, None, "unknown client message 'events'".into());
             }
             // Pattern predicates joined the wire in v4. A pre-v4 build
             // would refuse the unknown mode at the parser; we answer
@@ -719,16 +558,12 @@ impl MonitorHandle {
                     .iter()
                     .any(|p| p.mode == WireMode::Pattern || p.pattern.is_some()) =>
             {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(session.clone()),
-                    kind: Some(wire::error_kind::UNSUPPORTED_PREDICATE.to_string()),
-                    message: format!(
-                        "pattern predicates need wire v4; this monitor speaks v{}",
-                        self.wire_version
-                    ),
-                });
-                return;
+                let message = format!(
+                    "pattern predicates need wire v4; this monitor speaks v{}",
+                    self.wire_version
+                );
+                let kind = Some(wire::error_kind::UNSUPPORTED_PREDICATE);
+                return refuse(Some(session), kind, message);
             }
             // Distributed sessions joined the wire in v5. A real pre-v5
             // parser would *silently ignore* the unknown `dist` key and
@@ -740,16 +575,12 @@ impl MonitorHandle {
                 dist: Some(_),
                 ..
             } if self.wire_version < 5 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(session.clone()),
-                    kind: Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION.to_string()),
-                    message: format!(
-                        "distributed sessions need wire v5; this monitor speaks v{}",
-                        self.wire_version
-                    ),
-                });
-                return;
+                let message = format!(
+                    "distributed sessions need wire v5; this monitor speaks v{}",
+                    self.wire_version
+                );
+                let kind = Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION);
+                return refuse(Some(session), kind, message);
             }
             // Partitioning is the gateway's job: a backend accepts the
             // derived worker/aggregator opens, never the client-facing
@@ -759,145 +590,43 @@ impl MonitorHandle {
                 dist: Some(WireDistRole::Distribute { .. }),
                 ..
             } => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(session.clone()),
-                    kind: Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION.to_string()),
-                    message: "distributed sessions are opened through a gateway; \
-                              this is a monitor backend"
-                        .into(),
-                });
-                return;
+                let message = "distributed sessions are opened through a gateway; \
+                               this is a monitor backend";
+                let kind = Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION);
+                return refuse(Some(session), kind, message.into());
             }
             // A pre-v5 build has no decoder for the inter-monitor
             // frames; answer the way its parser would.
             ClientMsg::DistEvent { .. } if self.wire_version < 5 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: "unknown client message 'dist-event'".into(),
-                });
-                return;
+                return refuse(None, None, "unknown client message 'dist-event'".into());
             }
             ClientMsg::SliceUpdate { .. } if self.wire_version < 5 => {
-                self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: None,
-                    kind: None,
-                    message: "unknown client message 'slice-update'".into(),
-                });
-                return;
+                return refuse(None, None, "unknown client message 'slice-update'".into());
             }
-            _ => {}
-        }
+            ClientMsg::Open { session, .. }
+            | ClientMsg::Event { session, .. }
+            | ClientMsg::Events { session, .. }
+            | ClientMsg::FinishProcess { session, .. }
+            | ClientMsg::Close { session }
+            | ClientMsg::DistEvent { session, .. }
+            | ClientMsg::SliceUpdate { session, .. } => session,
+        };
+        let shard = self.shard_index(session);
+        // A batch is one WAL record and one shard command: the append
+        // is atomic, delivery in the shard is per event.
         let payload = self
             .wal
             .as_ref()
             .map(|_| serde_json::to_string(&msg.to_value()).expect("wire message serializes"));
-        let (shard, cmd) = match msg {
-            ClientMsg::Open {
-                session,
-                processes,
-                vars,
-                initial,
-                predicates,
-                dist,
-            } => (
-                self.shard_index(&session),
-                Cmd::Open {
-                    session,
-                    processes,
-                    vars,
-                    initial,
-                    predicates,
-                    dist,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::Event {
-                session,
-                p,
-                clock,
-                set,
-            } => (
-                self.shard_index(&session),
-                Cmd::Event {
-                    session,
-                    p,
-                    clock,
-                    set,
-                    sink: sink.clone(),
-                },
-            ),
-            // One WAL record for the whole batch (already serialized
-            // above), one shard command: the append is atomic, delivery
-            // below is per-event.
-            ClientMsg::Events { session, events } => (
-                self.shard_index(&session),
-                Cmd::EventBatch {
-                    session,
-                    events,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::FinishProcess { session, p } => (
-                self.shard_index(&session),
-                Cmd::Finish {
-                    session,
-                    p,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::Close { session } => (
-                self.shard_index(&session),
-                Cmd::Close {
-                    session,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::DistEvent {
-                session,
-                seq,
-                event,
-            } => (
-                self.shard_index(&session),
-                Cmd::DistEvent {
-                    session,
-                    seq,
-                    event,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::SliceUpdate {
-                session,
-                seq,
-                update,
-            } => (
-                self.shard_index(&session),
-                Cmd::SliceUpdate {
-                    session,
-                    seq,
-                    update,
-                    sink: sink.clone(),
-                },
-            ),
-            ClientMsg::Stats
-            | ClientMsg::Shutdown
-            | ClientMsg::Hello { .. }
-            | ClientMsg::Drain { .. } => unreachable!("answered above"),
+        let cmd = Cmd::Client {
+            msg,
+            sink: sink.clone(),
         };
         match (&self.wal, payload) {
             (Some(wal), Some(payload)) => {
                 let mut inner = wal.lock();
                 if let Err(e) = inner.store.append(payload.as_bytes()) {
-                    self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = sink.send(ServerMsg::Error {
-                        session: None,
-                        kind: None,
-                        message: format!("write-ahead log append failed: {e}"),
-                    });
-                    return;
+                    return refuse(None, None, format!("write-ahead log append failed: {e}"));
                 }
                 // Route while still holding the lock: a concurrent
                 // snapshot barrier must not run between this record's
@@ -935,33 +664,219 @@ impl MonitorHandle {
     }
 }
 
-/// One session plus the sink registered at its open (or re-attached
-/// after recovery).
+/// What a session slot hosts. The three roles share one per-backend
+/// namespace: a worker partition sits under its decorated name
+/// (`origin#w<i>`), an aggregator under the origin name it answers
+/// for — it is the member of the partition the client hears.
+enum Role {
+    Plain(Session),
+    Worker {
+        /// The origin session the partition's slice updates address.
+        origin: String,
+        engine: DistWorker,
+    },
+    Aggregator(DistAggregator),
+}
+
+/// Which frames a slot takes. The order is the shutdown flush order:
+/// workers flush before aggregators so a co-located aggregator can
+/// still absorb their stranded-hold updates.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Worker,
+    Aggregator,
+    Plain,
+}
+
+/// A verdict of a distributed session: its predicates are
+/// conjunctive, never patterns.
+fn dist_verdict((predicate, verdict): (String, OnlineVerdict)) -> VerdictEvent {
+    VerdictEvent {
+        predicate,
+        pattern: false,
+        verdict,
+    }
+}
+
+impl Role {
+    /// Opens the role `dist` names over one open request.
+    fn open(
+        name: &str,
+        processes: usize,
+        vars: &[String],
+        initial: &[BTreeMap<String, i64>],
+        predicates: &[WirePredicate],
+        dist: Option<WireDistRole>,
+        limits: SessionLimits,
+    ) -> Result<Role, SessionError> {
+        Ok(match dist {
+            None => Role::Plain(Session::open(
+                name, processes, vars, initial, predicates, limits,
+            )?),
+            Some(WireDistRole::Worker { origin, worker, k }) => Role::Worker {
+                origin,
+                engine: DistWorker::open(worker, k, processes, vars, initial, predicates)?,
+            },
+            Some(WireDistRole::Aggregator { k }) => Role::Aggregator(DistAggregator::open(
+                k,
+                processes,
+                vars,
+                initial,
+                predicates,
+                limits.buffer_capacity,
+                limits.policy,
+            )?),
+            // `MonitorHandle::submit` refuses this role, so it is never
+            // routed to a shard or written to the WAL.
+            Some(WireDistRole::Distribute { .. }) => {
+                return Err(SessionError::BadOpen(
+                    "distributed sessions are opened through a gateway".into(),
+                ))
+            }
+        })
+    }
+
+    fn kind(&self) -> Kind {
+        match self {
+            Role::Plain(_) => Kind::Plain,
+            Role::Worker { .. } => Kind::Worker,
+            Role::Aggregator(_) => Kind::Aggregator,
+        }
+    }
+
+    /// Events in the role's causal buffer (a worker has none).
+    fn held(&self) -> usize {
+        match self {
+            Role::Plain(s) => s.held(),
+            Role::Worker { .. } => 0,
+            Role::Aggregator(a) => a.held(),
+        }
+    }
+
+    fn take_initial_verdicts(&mut self) -> Vec<VerdictEvent> {
+        match self {
+            Role::Plain(s) => s.take_initial_verdicts(),
+            Role::Worker { .. } => Vec::new(),
+            Role::Aggregator(a) => a
+                .take_initial_verdicts()
+                .into_iter()
+                .map(dist_verdict)
+                .collect(),
+        }
+    }
+
+    /// Slicing-filter counter deltas. Only plain sessions and workers
+    /// filter; an aggregator reporting its workers' filtering again
+    /// would double count.
+    fn take_slice_stats(&mut self) -> Vec<(String, u64, u64)> {
+        match self {
+            Role::Plain(s) => s.take_slice_stats(),
+            Role::Worker { engine, .. } => engine.take_slice_stats(),
+            Role::Aggregator(_) => Vec::new(),
+        }
+    }
+
+    /// Moves the open-slot gauges by one; opening also counts a session
+    /// opened, except for worker partitions, which no client sees.
+    fn count(&self, metrics: &Metrics, open: bool) {
+        let gauges: &[&AtomicU64] = match self {
+            Role::Plain(_) => &[&metrics.sessions_active],
+            Role::Worker { .. } => &[&metrics.dist_workers_active],
+            Role::Aggregator(_) => &[&metrics.sessions_active, &metrics.dist_aggregators_active],
+        };
+        for gauge in gauges {
+            if open {
+                gauge.fetch_add(1, Ordering::Relaxed);
+            } else {
+                gauge.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        if open && self.kind() != Kind::Worker {
+            metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One session slot plus the sink registered at its open (or
+/// re-attached after recovery).
 struct Slot {
-    session: Session,
+    role: Role,
     sink: Sender<ServerMsg>,
-    /// False for a session rebuilt by crash recovery that no client has
+    /// False for a slot rebuilt by crash recovery that no client has
     /// spoken to yet: its sink is dead, and settled verdicts have not
     /// been shown to the post-restart client.
     attached: bool,
 }
 
-/// One distributed-session worker partition, registered under its
-/// decorated name (`origin#w<i>`).
-struct WorkerSlot {
-    /// The origin session name the partition's slice updates carry.
-    origin: String,
-    engine: DistWorker,
-    sink: Sender<ServerMsg>,
-    attached: bool,
+/// A shard's slots by session name.
+type Slots = HashMap<String, Slot>;
+
+impl Slot {
+    /// A slot rebuilt by crash recovery, waiting for its client.
+    fn detached(role: Role) -> Slot {
+        Slot {
+            role,
+            sink: dead_sink(),
+            attached: false,
+        }
+    }
+
+    /// First client contact with a recovered slot: adopt the client's
+    /// sink and re-report everything that settled before the crash
+    /// (the client that originally received those verdicts is gone).
+    fn attach(&mut self, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
+        if self.attached {
+            return;
+        }
+        self.sink = sink.clone();
+        self.attached = true;
+        metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
+        let verdicts = match &self.role {
+            Role::Plain(s) => s
+                .all_verdicts()
+                .into_iter()
+                .map(|v| (v.predicate, v.verdict))
+                .collect(),
+            Role::Worker { .. } => Vec::new(),
+            Role::Aggregator(a) => a.all_verdicts(),
+        };
+        for (predicate, verdict) in verdicts {
+            if !matches!(verdict, OnlineVerdict::Pending) {
+                let _ = self.sink.send(ServerMsg::Verdict {
+                    session: name.to_string(),
+                    predicate,
+                    verdict: wire_verdict(&verdict),
+                });
+            }
+        }
+    }
 }
 
-/// One distributed-session aggregator, registered under the origin
-/// session name — the member of the partition the client hears.
-struct AggSlot {
-    engine: DistAggregator,
-    sink: Sender<ServerMsg>,
-    attached: bool,
+/// The slot a frame for `kind` addresses, attached to `sink`. A missing
+/// session, or one of another role, refuses the frame instead.
+fn attached<'a>(
+    slots: &'a mut Slots,
+    session: &str,
+    kind: Kind,
+    sink: &Sender<ServerMsg>,
+    metrics: &Metrics,
+) -> Option<&'a mut Slot> {
+    let message = match slots.get_mut(session) {
+        Some(slot) if slot.role.kind() == kind => {
+            slot.attach(session, sink, metrics);
+            return Some(slot);
+        }
+        None => format!("no such session '{session}'"),
+        Some(_) => match kind {
+            Kind::Plain => {
+                format!("session '{session}' is distributed; its frames are routed by the gateway")
+            }
+            Kind::Worker => format!("session '{session}' is not a distributed worker partition"),
+            Kind::Aggregator => format!("session '{session}' is not a distributed session"),
+        },
+    };
+    refuse(sink, session, None, message, metrics);
+    None
 }
 
 fn wire_verdict(v: &OnlineVerdict) -> WireVerdict {
@@ -974,7 +889,7 @@ fn wire_verdict(v: &OnlineVerdict) -> WireVerdict {
 
 fn send_verdicts(
     name: &str,
-    verdicts: Vec<VerdictEvent>,
+    verdicts: impl IntoIterator<Item = VerdictEvent>,
     sink: &Sender<ServerMsg>,
     metrics: &Metrics,
 ) {
@@ -993,35 +908,20 @@ fn send_verdicts(
     }
 }
 
-/// Drains a session's slicing-filter counter deltas into the shared
-/// metrics. Called at verdict, finish, snapshot, and close boundaries —
-/// never per event, so sliced ingestion stays mutex-free on the hot
-/// path (the counters lag by at most one such boundary).
-fn flush_slice_stats(session: &mut Session, metrics: &Metrics) {
-    for (id, events_in, events_filtered) in session.take_slice_stats() {
-        metrics.record_slice(&id, events_in, events_filtered);
-    }
-}
-
-/// First client contact with a recovered session: adopt the client's
-/// sink and re-report everything that settled before the crash (the
-/// client that originally received those verdicts is gone).
-fn attach(slot: &mut Slot, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
-    if slot.attached {
-        return;
-    }
-    slot.sink = sink.clone();
-    slot.attached = true;
-    metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-    for v in slot.session.all_verdicts() {
-        if !matches!(v.verdict, OnlineVerdict::Pending) {
-            let _ = slot.sink.send(ServerMsg::Verdict {
-                session: name.to_string(),
-                predicate: v.predicate,
-                verdict: wire_verdict(&v.verdict),
-            });
-        }
-    }
+/// Refuses a frame with one `error` frame, counted as a protocol error.
+fn refuse(
+    sink: &Sender<ServerMsg>,
+    session: &str,
+    kind: Option<&str>,
+    message: String,
+    metrics: &Metrics,
+) {
+    metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    let _ = sink.send(ServerMsg::Error {
+        session: Some(session.to_string()),
+        kind: kind.map(str::to_string),
+        message,
+    });
 }
 
 /// The machine-readable [`wire::error_kind`] for a session error, when
@@ -1037,13 +937,40 @@ fn error_kind_of(e: &SessionError) -> Option<&'static str> {
     }
 }
 
-/// [`error_kind_of`] for the aggregator's replica errors: the same
-/// classification, so distributed error frames carry the same kinds.
-fn dist_error_kind(e: &DistError) -> Option<&'static str> {
-    match e {
-        DistError::AlreadyFinished(_) => Some(wire::error_kind::ALREADY_FINISHED),
-        DistError::Ingest(IngestError::Duplicate { .. }) => Some(wire::error_kind::DUPLICATE_EVENT),
+/// Reports a session error, counting causal-buffer refusals by cause.
+fn send_error(name: &str, e: &SessionError, sink: &Sender<ServerMsg>, metrics: &Metrics) {
+    let counter = match e {
+        SessionError::Ingest(IngestError::Duplicate { .. }) => Some(&metrics.events_duplicate),
+        SessionError::Ingest(IngestError::Overflow { .. }) => Some(&metrics.events_rejected),
+        SessionError::Ingest(IngestError::Dropped) => Some(&metrics.events_dropped),
         _ => None,
+    };
+    if let Some(counter) = counter {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    refuse(sink, name, error_kind_of(e), e.to_string(), metrics);
+}
+
+/// Drains slicing-filter counter deltas into the shared metrics. Called
+/// at verdict, finish, snapshot, and close boundaries — never per
+/// event, so sliced ingestion stays mutex-free on the hot path (the
+/// counters lag by at most one such boundary).
+fn record_slices(stats: Vec<(String, u64, u64)>, metrics: &Metrics) {
+    for (id, events_in, events_filtered) in stats {
+        metrics.record_slice(&id, events_in, events_filtered);
+    }
+}
+
+/// Moves the held gauge and the delivered counter by what one ingest
+/// changed, given `(held, delivered)` before and after.
+fn account(metrics: &Metrics, before: (usize, u64), after: (usize, u64)) {
+    metrics
+        .events_delivered
+        .fetch_add(after.1 - before.1, Ordering::Relaxed);
+    if after.0 > before.0 {
+        metrics.held_add((after.0 - before.0) as u64);
+    } else {
+        metrics.held_sub((before.0 - after.0) as u64);
     }
 }
 
@@ -1068,20 +995,9 @@ fn relay_updates(
     }
 }
 
-/// Drains a worker partition's slicing counter deltas into the shared
-/// metrics (the aggregator must *not* report these — the worker is
-/// where filtering happens, and double counting would follow).
-fn flush_worker_slice_stats(engine: &mut DistWorker, metrics: &Metrics) {
-    for (id, events_in, events_filtered) in engine.take_slice_stats() {
-        metrics.record_slice(&id, events_in, events_filtered);
-    }
-}
-
-/// Turns an aggregator's observable steps into the session's reply
-/// frames — the exact frames a single-backend session would emit —
-/// and mirrors the single-backend metrics bookkeeping. Returns whether
-/// a close was processed (the caller then drops the slot).
-fn emit_agg_steps(
+/// Reports an aggregator's steps with the frames and counters a plain
+/// session's outcomes get. Returns whether a close was processed.
+fn send_steps(
     name: &str,
     steps: Vec<AggStep>,
     sink: &Sender<ServerMsg>,
@@ -1091,38 +1007,9 @@ fn emit_agg_steps(
     for step in steps {
         match step {
             AggStep::Verdict { predicate, verdict } => {
-                metrics.verdicts_settled.fetch_add(1, Ordering::Relaxed);
-                metrics.record_verdict(
-                    &predicate,
-                    false,
-                    matches!(verdict, OnlineVerdict::Detected(_)),
-                );
-                let _ = sink.send(ServerMsg::Verdict {
-                    session: name.to_string(),
-                    predicate,
-                    verdict: wire_verdict(&verdict),
-                });
+                send_verdicts(name, [dist_verdict((predicate, verdict))], sink, metrics);
             }
-            AggStep::Error(e) => {
-                match &e {
-                    DistError::Ingest(IngestError::Duplicate { .. }) => {
-                        metrics.events_duplicate.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DistError::Ingest(IngestError::Overflow { .. }) => {
-                        metrics.events_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DistError::Ingest(IngestError::Dropped) => {
-                        metrics.events_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = sink.send(ServerMsg::Error {
-                    session: Some(name.to_string()),
-                    kind: dist_error_kind(&e).map(str::to_string),
-                    message: e.to_string(),
-                });
-            }
+            AggStep::Error(e) => send_error(name, &e, sink, metrics),
             AggStep::Closed { discarded } => {
                 metrics
                     .events_discarded
@@ -1138,93 +1025,60 @@ fn emit_agg_steps(
     closed
 }
 
-/// First client contact with a recovered aggregator: adopt the sink
-/// and re-report settled verdicts, exactly like [`attach`] does for a
-/// plain session.
-fn attach_agg(slot: &mut AggSlot, name: &str, sink: &Sender<ServerMsg>, metrics: &Metrics) {
-    if slot.attached {
-        return;
-    }
-    slot.sink = sink.clone();
-    slot.attached = true;
-    metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-    for (predicate, verdict) in slot.engine.all_verdicts() {
-        if !matches!(verdict, OnlineVerdict::Pending) {
-            let _ = slot.sink.send(ServerMsg::Verdict {
-                session: name.to_string(),
-                predicate,
-                verdict: wire_verdict(&verdict),
-            });
-        }
-    }
-}
-
-/// Feeds one event into an attached slot's causal buffer and reports
-/// the outcome — the shared per-event path of `Cmd::Event` and every
-/// member of a `Cmd::EventBatch`.
+/// Feeds one event into a plain session and reports the outcome — the
+/// shared per-event path of an `event` frame and every member of an
+/// `events` batch.
 fn ingest_one(
     name: &str,
-    slot: &mut Slot,
+    session: &mut Session,
+    sink: &Sender<ServerMsg>,
     p: usize,
     clock: Vec<u32>,
     set: BTreeMap<String, i64>,
     metrics: &Metrics,
 ) {
     metrics.events_ingested.fetch_add(1, Ordering::Relaxed);
-    let held_before = slot.session.held();
-    let delivered_before = slot.session.delivered();
-    match slot
-        .session
-        .event(p, VectorClock::from_components(clock), &set)
-    {
+    let before = (session.held(), session.delivered());
+    let result = session.event(p, VectorClock::from_components(clock), &set);
+    account(metrics, before, (session.held(), session.delivered()));
+    match result {
         Ok(verdicts) => {
-            let delivered = slot.session.delivered() - delivered_before;
-            metrics
-                .events_delivered
-                .fetch_add(delivered, Ordering::Relaxed);
-            let held_now = slot.session.held();
-            if held_now > held_before {
-                metrics.held_add((held_now - held_before) as u64);
-            } else {
-                metrics.held_sub((held_before - held_now) as u64);
-            }
             if !verdicts.is_empty() {
-                flush_slice_stats(&mut slot.session, metrics);
+                record_slices(session.take_slice_stats(), metrics);
             }
-            send_verdicts(name, verdicts, &slot.sink, metrics);
+            send_verdicts(name, verdicts, sink, metrics);
         }
-        Err(e) => {
-            match &e {
-                SessionError::Ingest(IngestError::Duplicate { .. }) => {
-                    metrics.events_duplicate.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionError::Ingest(IngestError::Overflow { .. }) => {
-                    metrics.events_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                SessionError::Ingest(IngestError::Dropped) => {
-                    metrics.events_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = slot.sink.send(ServerMsg::Error {
-                session: Some(name.to_string()),
-                kind: error_kind_of(&e).map(str::to_string),
-                message: e.to_string(),
-            });
-        }
+        Err(e) => send_error(name, &e, sink, metrics),
     }
 }
 
+/// Closes a slot: stranded held events are discarded (a worker flushes
+/// its held events into the update stream instead), every predicate
+/// force-settles, and the sink gets the final verdicts and `closed`.
 fn close_slot(name: &str, mut slot: Slot, metrics: &Metrics) {
-    let held_before = slot.session.held() as u64;
-    let (verdicts, discarded) = slot.session.close();
-    flush_slice_stats(&mut slot.session, metrics);
-    metrics.held_sub(held_before);
-    metrics
-        .events_discarded
-        .fetch_add(discarded, Ordering::Relaxed);
-    metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
+    metrics.held_sub(slot.role.held() as u64);
+    let (verdicts, discarded) = match &mut slot.role {
+        Role::Plain(s) => s.close(),
+        Role::Aggregator(a) => {
+            let (verdicts, discarded) = a.close();
+            (verdicts.into_iter().map(dist_verdict).collect(), discarded)
+        }
+        Role::Worker { origin, engine } => {
+            let flushed = engine.close();
+            let discarded = flushed.len() as u64;
+            relay_updates(origin, flushed, &slot.sink, metrics);
+            (Vec::new(), discarded)
+        }
+    };
+    record_slices(slot.role.take_slice_stats(), metrics);
+    // A worker's flushed holds travel on as updates; whichever of them
+    // the aggregator strands, it counts itself.
+    if slot.role.kind() != Kind::Worker {
+        metrics
+            .events_discarded
+            .fetch_add(discarded, Ordering::Relaxed);
+    }
+    slot.role.count(metrics, false);
     send_verdicts(name, verdicts, &slot.sink, metrics);
     let _ = slot.sink.send(ServerMsg::Closed {
         session: name.to_string(),
@@ -1232,443 +1086,238 @@ fn close_slot(name: &str, mut slot: Slot, metrics: &Metrics) {
     });
 }
 
-/// The shard worker loop: owns its sessions, applies commands in
-/// arrival order, pushes responses into per-session sinks. `seed` holds
-/// sessions rebuilt by crash recovery; they start detached.
-fn shard_worker(
-    rx: Receiver<Cmd>,
-    limits: SessionLimits,
-    metrics: Arc<Metrics>,
-    seed: Vec<SeedSlot>,
-) {
-    let mut slots: HashMap<String, Slot> = HashMap::new();
-    let mut workers: HashMap<String, WorkerSlot> = HashMap::new();
-    let mut aggs: HashMap<String, AggSlot> = HashMap::new();
-    for seeded in seed {
-        match seeded {
-            SeedSlot::Local(session) => {
-                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                metrics.held_add(session.held() as u64);
-                slots.insert(
-                    session.name().to_string(),
-                    Slot {
-                        session,
-                        sink: dead_sink(),
-                        attached: false,
-                    },
-                );
-            }
-            SeedSlot::Worker {
-                name,
-                origin,
-                engine,
-            } => {
-                metrics.dist_workers_active.fetch_add(1, Ordering::Relaxed);
-                workers.insert(
-                    name,
-                    WorkerSlot {
-                        origin,
-                        engine,
-                        sink: dead_sink(),
-                        attached: false,
-                    },
-                );
-            }
-            SeedSlot::Aggregator { name, engine } => {
-                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .dist_aggregators_active
-                    .fetch_add(1, Ordering::Relaxed);
-                metrics.held_add(engine.held() as u64);
-                aggs.insert(
-                    name,
-                    AggSlot {
-                        engine,
-                        sink: dead_sink(),
-                        attached: false,
-                    },
-                );
-            }
+/// Freezes every slot of a shard for the snapshot barrier.
+fn freeze(slots: &mut Slots, metrics: &Metrics) -> ServiceSnapshot {
+    let mut snap = ServiceSnapshot::default();
+    for (name, slot) in slots.iter_mut() {
+        record_slices(slot.role.take_slice_stats(), metrics);
+        match &slot.role {
+            Role::Plain(s) => snap.sessions.push(s.snapshot()),
+            Role::Worker { origin, engine } => snap.workers.push(WorkerSlotSnapshot {
+                name: name.clone(),
+                origin: origin.clone(),
+                snap: engine.snapshot(),
+            }),
+            Role::Aggregator(a) => snap.aggregators.push(AggregatorSlotSnapshot {
+                name: name.clone(),
+                processes: a.processes(),
+                snap: a.snapshot(),
+            }),
         }
     }
-    let err = |sink: &Sender<ServerMsg>,
-               session: Option<&str>,
-               kind: Option<&str>,
-               message: String,
-               metrics: &Metrics| {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        let _ = sink.send(ServerMsg::Error {
-            session: session.map(str::to_string),
-            kind: kind.map(str::to_string),
-            message,
-        });
-    };
+    snap
+}
+
+/// Rebuilds every slot a snapshot froze, detached.
+fn thaw(snap: &ServiceSnapshot, limits: SessionLimits) -> Result<Slots, String> {
+    let mut slots = Slots::new();
+    for s in &snap.sessions {
+        let session = Session::restore(s, limits)
+            .map_err(|e| format!("restore session '{}': {e}", s.name))?;
+        slots.insert(s.name.clone(), Slot::detached(Role::Plain(session)));
+    }
+    for w in &snap.workers {
+        let engine = DistWorker::restore(&w.snap, w.snap.states.len())
+            .map_err(|e| format!("restore worker '{}': {e}", w.name))?;
+        let origin = w.origin.clone();
+        slots.insert(
+            w.name.clone(),
+            Slot::detached(Role::Worker { origin, engine }),
+        );
+    }
+    for a in &snap.aggregators {
+        let engine =
+            DistAggregator::restore(&a.snap, a.processes, limits.buffer_capacity, limits.policy)
+                .map_err(|e| format!("restore aggregator '{}': {e}", a.name))?;
+        slots.insert(a.name.clone(), Slot::detached(Role::Aggregator(engine)));
+    }
+    Ok(slots)
+}
+
+/// The shard worker loop: owns its slots, applies commands in arrival
+/// order, pushes responses into per-session sinks. `slots` starts with
+/// the slots crash recovery rebuilt; they start detached.
+fn shard_worker(rx: Receiver<Cmd>, limits: SessionLimits, metrics: Arc<Metrics>, mut slots: Slots) {
+    for slot in slots.values() {
+        slot.role.count(&metrics, true);
+        metrics.held_add(slot.role.held() as u64);
+    }
     for cmd in rx.iter() {
-        match cmd {
-            Cmd::Open {
+        let (msg, sink) = match cmd {
+            Cmd::Client { msg, sink } => (msg, sink),
+            Cmd::Snapshot { reply } => {
+                let _ = reply.send(freeze(&mut slots, &metrics));
+                continue;
+            }
+            Cmd::Flush => break,
+        };
+        match msg {
+            ClientMsg::Open {
                 session,
                 processes,
                 vars,
                 initial,
                 predicates,
                 dist,
-                sink,
             } => {
-                if slots.contains_key(&session)
-                    || workers.contains_key(&session)
-                    || aggs.contains_key(&session)
-                {
-                    err(
-                        &sink,
-                        Some(&session),
-                        Some(wire::error_kind::ALREADY_OPEN),
-                        format!("session '{session}' already open"),
-                        &metrics,
-                    );
+                if slots.contains_key(&session) {
+                    let message = format!("session '{session}' already open");
+                    let kind = Some(wire::error_kind::ALREADY_OPEN);
+                    refuse(&sink, &session, kind, message, &metrics);
                     continue;
                 }
-                match dist {
-                    None => match Session::open(
-                        &session,
-                        processes,
-                        &vars,
-                        &initial,
-                        &predicates,
-                        limits,
-                    ) {
-                        Ok(mut s) => {
-                            metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                            metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                            let _ = sink.send(ServerMsg::Opened {
-                                session: session.clone(),
-                            });
-                            send_verdicts(&session, s.take_initial_verdicts(), &sink, &metrics);
-                            slots.insert(
-                                session,
-                                Slot {
-                                    session: s,
-                                    sink,
-                                    attached: true,
-                                },
-                            );
-                        }
-                        Err(e) => err(
-                            &sink,
-                            Some(&session),
-                            error_kind_of(&e),
-                            e.to_string(),
-                            &metrics,
-                        ),
-                    },
-                    Some(WireDistRole::Worker { origin, worker, k }) => {
-                        match DistWorker::open(worker, k, processes, &vars, &initial, &predicates) {
-                            Ok(engine) => {
-                                metrics.dist_workers_active.fetch_add(1, Ordering::Relaxed);
-                                let _ = sink.send(ServerMsg::Opened {
-                                    session: session.clone(),
-                                });
-                                workers.insert(
-                                    session,
-                                    WorkerSlot {
-                                        origin,
-                                        engine,
-                                        sink,
-                                        attached: true,
-                                    },
-                                );
-                            }
-                            Err(e) => err(
-                                &sink,
-                                Some(&session),
-                                None,
-                                format!("bad open: {e}"),
-                                &metrics,
-                            ),
-                        }
+                match Role::open(
+                    &session,
+                    processes,
+                    &vars,
+                    &initial,
+                    &predicates,
+                    dist,
+                    limits,
+                ) {
+                    Ok(mut role) => {
+                        role.count(&metrics, true);
+                        let _ = sink.send(ServerMsg::Opened {
+                            session: session.clone(),
+                        });
+                        send_verdicts(&session, role.take_initial_verdicts(), &sink, &metrics);
+                        slots.insert(
+                            session,
+                            Slot {
+                                role,
+                                sink,
+                                attached: true,
+                            },
+                        );
                     }
-                    Some(WireDistRole::Aggregator { k }) => {
-                        match DistAggregator::open(
-                            k,
-                            processes,
-                            &vars,
-                            &initial,
-                            &predicates,
-                            limits.buffer_capacity,
-                            limits.policy,
-                        ) {
-                            Ok(mut engine) => {
-                                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                                metrics.sessions_active.fetch_add(1, Ordering::Relaxed);
-                                metrics
-                                    .dist_aggregators_active
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let _ = sink.send(ServerMsg::Opened {
-                                    session: session.clone(),
-                                });
-                                let initial_verdicts: Vec<AggStep> = engine
-                                    .take_initial_verdicts()
-                                    .into_iter()
-                                    .map(|(predicate, verdict)| AggStep::Verdict {
-                                        predicate,
-                                        verdict,
-                                    })
-                                    .collect();
-                                emit_agg_steps(&session, initial_verdicts, &sink, &metrics);
-                                aggs.insert(
-                                    session,
-                                    AggSlot {
-                                        engine,
-                                        sink,
-                                        attached: true,
-                                    },
-                                );
-                            }
-                            Err(e) => err(&sink, Some(&session), None, e.to_string(), &metrics),
-                        }
-                    }
-                    // Refused at the handle; kept for direct in-process
-                    // submitters.
-                    Some(WireDistRole::Distribute { .. }) => err(
-                        &sink,
-                        Some(&session),
-                        Some(wire::error_kind::UNSUPPORTED_DISTRIBUTION),
-                        "distributed sessions are opened through a gateway; \
-                         this is a monitor backend"
-                            .into(),
-                        &metrics,
-                    ),
+                    Err(e) => send_error(&session, &e, &sink, &metrics),
                 }
             }
-            Cmd::Event {
+            ClientMsg::Event {
                 session,
                 p,
                 clock,
                 set,
-                sink,
             } => {
-                let Some(slot) = slots.get_mut(&session) else {
-                    let message = if workers.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is distributed; its frames are routed by the gateway")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
+                let slot = attached(&mut slots, &session, Kind::Plain, &sink, &metrics);
+                let Some(Slot {
+                    role: Role::Plain(s),
+                    sink,
+                    ..
+                }) = slot
+                else {
                     continue;
                 };
-                attach(slot, &session, &sink, &metrics);
-                ingest_one(&session, slot, p, clock, set, &metrics);
+                ingest_one(&session, s, sink, p, clock, set, &metrics);
             }
-            Cmd::EventBatch {
-                session,
-                events,
-                sink,
-            } => {
-                let Some(slot) = slots.get_mut(&session) else {
-                    let message = if workers.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is distributed; its frames are routed by the gateway")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
+            ClientMsg::Events { session, events } => {
+                let slot = attached(&mut slots, &session, Kind::Plain, &sink, &metrics);
+                let Some(Slot {
+                    role: Role::Plain(s),
+                    sink,
+                    ..
+                }) = slot
+                else {
                     continue;
                 };
-                attach(slot, &session, &sink, &metrics);
                 metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
                 for e in events {
-                    ingest_one(&session, slot, e.p, e.clock, e.set, &metrics);
+                    ingest_one(&session, s, sink, e.p, e.clock, e.set, &metrics);
                 }
             }
-            Cmd::Finish { session, p, sink } => {
-                let Some(slot) = slots.get_mut(&session) else {
-                    let message = if workers.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is distributed; its frames are routed by the gateway")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
+            ClientMsg::FinishProcess { session, p } => {
+                let slot = attached(&mut slots, &session, Kind::Plain, &sink, &metrics);
+                let Some(Slot {
+                    role: Role::Plain(s),
+                    sink,
+                    ..
+                }) = slot
+                else {
                     continue;
                 };
-                attach(slot, &session, &sink, &metrics);
-                match slot.session.finish_process(p) {
+                match s.finish_process(p) {
                     Ok(verdicts) => {
-                        flush_slice_stats(&mut slot.session, &metrics);
-                        send_verdicts(&session, verdicts, &slot.sink, &metrics)
+                        record_slices(s.take_slice_stats(), &metrics);
+                        send_verdicts(&session, verdicts, sink, &metrics);
                     }
-                    Err(e) => err(
-                        &slot.sink.clone(),
-                        Some(&session),
-                        error_kind_of(&e),
-                        e.to_string(),
-                        &metrics,
-                    ),
+                    Err(e) => send_error(&session, &e, sink, &metrics),
                 }
             }
-            Cmd::DistEvent {
+            // A gateway-routed event for a worker partition (wire v5),
+            // answered with slice updates the gateway relays to the
+            // session's aggregator.
+            ClientMsg::DistEvent {
                 session,
                 seq,
                 event,
-                sink,
             } => {
-                let Some(slot) = workers.get_mut(&session) else {
-                    let message = if slots.contains_key(&session) || aggs.contains_key(&session) {
-                        format!("session '{session}' is not a distributed worker partition")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
+                let slot = attached(&mut slots, &session, Kind::Worker, &sink, &metrics);
+                let Some(Slot {
+                    role: Role::Worker { origin, engine },
+                    sink,
+                    ..
+                }) = slot
+                else {
                     continue;
                 };
-                if !slot.attached {
-                    slot.sink = sink.clone();
-                    slot.attached = true;
-                    metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
-                }
                 metrics.events_ingested.fetch_add(1, Ordering::Relaxed);
-                let updates = slot.engine.observe(
-                    seq,
-                    event.p,
-                    VectorClock::from_components(event.clock),
-                    &event.set,
-                );
-                relay_updates(&slot.origin, updates, &slot.sink, &metrics);
+                let clock = VectorClock::from_components(event.clock);
+                let updates = engine.observe(seq, event.p, clock, &event.set);
+                relay_updates(origin, updates, sink, &metrics);
             }
-            Cmd::SliceUpdate {
+            // A sequenced slice update for an aggregator (wire v5): a
+            // relayed worker observation, or the gateway-originated
+            // finish/close.
+            ClientMsg::SliceUpdate {
                 session,
                 seq,
                 update,
-                sink,
             } => {
-                let Some(slot) = aggs.get_mut(&session) else {
-                    let message = if slots.contains_key(&session) || workers.contains_key(&session)
-                    {
-                        format!("session '{session}' is not a distributed session")
-                    } else {
-                        format!("no such session '{session}'")
-                    };
-                    err(&sink, Some(&session), None, message, &metrics);
+                let slot = attached(&mut slots, &session, Kind::Aggregator, &sink, &metrics);
+                let Some(Slot {
+                    role: Role::Aggregator(a),
+                    sink,
+                    ..
+                }) = slot
+                else {
                     continue;
                 };
-                attach_agg(slot, &session, &sink, &metrics);
                 metrics.dist_updates_applied.fetch_add(1, Ordering::Relaxed);
-                let held_before = slot.engine.held();
-                let delivered_before = slot.engine.delivered();
-                let steps = slot.engine.update(seq, update);
-                let delivered = slot.engine.delivered() - delivered_before;
-                metrics
-                    .events_delivered
-                    .fetch_add(delivered, Ordering::Relaxed);
-                let held_now = slot.engine.held();
-                if held_now > held_before {
-                    metrics.held_add((held_now - held_before) as u64);
-                } else {
-                    metrics.held_sub((held_before - held_now) as u64);
-                }
-                if emit_agg_steps(&session, steps, &slot.sink, &metrics) {
-                    metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-                    metrics
-                        .dist_aggregators_active
-                        .fetch_sub(1, Ordering::Relaxed);
-                    aggs.remove(&session);
-                }
-            }
-            Cmd::Close { session, sink } => {
-                if let Some(mut slot) = slots.remove(&session) {
-                    attach(&mut slot, &session, &sink, &metrics);
-                    close_slot(&session, slot, &metrics);
-                } else if let Some(mut slot) = workers.remove(&session) {
-                    // The gateway closes the partitions before sending
-                    // the aggregator its close update, so stranded
-                    // holds flush into the update stream first.
-                    if !slot.attached {
-                        slot.sink = sink.clone();
-                        slot.attached = true;
-                        metrics.sessions_reattached.fetch_add(1, Ordering::Relaxed);
+                let before = (a.held(), a.delivered());
+                let steps = a.update(seq, update);
+                account(&metrics, before, (a.held(), a.delivered()));
+                if send_steps(&session, steps, sink, &metrics) {
+                    if let Some(slot) = slots.remove(&session) {
+                        slot.role.count(&metrics, false);
                     }
-                    let flushed = slot.engine.close();
-                    let discarded = flushed.len() as u64;
-                    relay_updates(&slot.origin, flushed, &slot.sink, &metrics);
-                    flush_worker_slice_stats(&mut slot.engine, &metrics);
-                    metrics.dist_workers_active.fetch_sub(1, Ordering::Relaxed);
-                    let _ = slot.sink.send(ServerMsg::Closed { session, discarded });
-                } else if let Some(mut slot) = aggs.remove(&session) {
-                    // A plain close reaching the aggregator directly
-                    // (not the gateway's sequenced close update):
-                    // close out of band.
-                    attach_agg(&mut slot, &session, &sink, &metrics);
-                    metrics.held_sub(slot.engine.held() as u64);
-                    let steps = slot.engine.close_now();
-                    emit_agg_steps(&session, steps, &slot.sink, &metrics);
-                    metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-                    metrics
-                        .dist_aggregators_active
-                        .fetch_sub(1, Ordering::Relaxed);
-                } else {
-                    err(
-                        &sink,
-                        Some(&session),
-                        None,
-                        format!("no such session '{session}'"),
-                        &metrics,
-                    );
                 }
             }
-            Cmd::Snapshot { reply } => {
-                for slot in slots.values_mut() {
-                    flush_slice_stats(&mut slot.session, &metrics);
+            // A plain close reaching a distributed member directly
+            // closes it out of band; the gateway closes the partitions
+            // before sending the aggregator its sequenced close update,
+            // so stranded holds flush into the update stream first.
+            ClientMsg::Close { session } => match slots.remove(&session) {
+                Some(mut slot) => {
+                    slot.attach(&session, &sink, &metrics);
+                    close_slot(&session, slot, &metrics);
                 }
-                for slot in workers.values_mut() {
-                    flush_worker_slice_stats(&mut slot.engine, &metrics);
+                None => {
+                    let message = format!("no such session '{session}'");
+                    refuse(&sink, &session, None, message, &metrics);
                 }
-                let _ = reply.send(ShardFreeze {
-                    sessions: slots.values().map(|s| s.session.snapshot()).collect(),
-                    workers: workers
-                        .iter()
-                        .map(|(name, w)| WorkerSlotSnapshot {
-                            name: name.clone(),
-                            origin: w.origin.clone(),
-                            snap: w.engine.snapshot(),
-                        })
-                        .collect(),
-                    aggregators: aggs
-                        .iter()
-                        .map(|(name, a)| AggregatorSlotSnapshot {
-                            name: name.clone(),
-                            processes: a.engine.processes(),
-                            snap: a.engine.snapshot(),
-                        })
-                        .collect(),
-                });
-            }
-            Cmd::Flush => break,
+            },
+            // Answered inline by `MonitorHandle::submit`.
+            ClientMsg::Stats
+            | ClientMsg::Shutdown
+            | ClientMsg::Hello { .. }
+            | ClientMsg::Drain { .. } => {}
         }
     }
     // Reached on Flush or channel disconnect: close every remaining
     // session so detectors still settle and sinks learn the outcome.
-    // Workers flush before aggregators so a co-located aggregator can
-    // still absorb their stranded-hold updates.
-    for (name, mut slot) in workers.drain() {
-        let flushed = slot.engine.close();
-        let discarded = flushed.len() as u64;
-        relay_updates(&slot.origin, flushed, &slot.sink, &metrics);
-        flush_worker_slice_stats(&mut slot.engine, &metrics);
-        metrics.dist_workers_active.fetch_sub(1, Ordering::Relaxed);
-        let _ = slot.sink.send(ServerMsg::Closed {
-            session: name,
-            discarded,
-        });
-    }
-    for (name, mut slot) in aggs.drain() {
-        metrics.held_sub(slot.engine.held() as u64);
-        let steps = slot.engine.close_now();
-        emit_agg_steps(&name, steps, &slot.sink, &metrics);
-        metrics.sessions_active.fetch_sub(1, Ordering::Relaxed);
-        metrics
-            .dist_aggregators_active
-            .fetch_sub(1, Ordering::Relaxed);
-    }
-    for (name, slot) in slots.drain() {
+    let mut rest: Vec<(String, Slot)> = slots.drain().collect();
+    rest.sort_by_key(|(_, slot)| slot.role.kind());
+    for (name, slot) in rest {
         close_slot(&name, slot, &metrics);
     }
 }
@@ -2291,6 +1940,60 @@ mod tests {
         service.shutdown();
     }
 
+    #[test]
+    fn oversized_opens_are_refused_and_recovery_survives_them() {
+        let config = MonitorConfig {
+            persist: Some(persist_config("oversized")),
+            ..MonitorConfig::default()
+        };
+        let huge = |session: &str, dist: Option<WireDistRole>| ClientMsg::Open {
+            session: session.into(),
+            processes: 1 << 40,
+            vars: vec![],
+            initial: vec![],
+            predicates: vec![],
+            dist,
+        };
+        {
+            let service = MonitorService::open(config.clone()).unwrap();
+            let handle = service.handle();
+            let (tx, rx) = unbounded();
+            let worker = WireDistRole::Worker {
+                origin: "huge".into(),
+                worker: 0,
+                k: 1,
+            };
+            handle.submit(huge("huge", None), &tx);
+            handle.submit(huge("huge#w0", Some(worker)), &tx);
+            handle.submit(huge("huge", Some(WireDistRole::Aggregator { k: 1 })), &tx);
+            for _ in 0..3 {
+                match rx.recv().unwrap() {
+                    ServerMsg::Error { message, .. } => {
+                        assert!(message.starts_with("bad open: "), "{message}")
+                    }
+                    other => panic!("expected a refusal, got {other:?}"),
+                }
+            }
+            // The monitor is still up: a normal session opens and detects.
+            handle.submit(fig2_open("s"), &tx);
+            assert!(matches!(rx.recv().unwrap(), ServerMsg::Opened { .. }));
+            handle.submit(event("s", 0, &[1, 0], &[("x0", 2)]), &tx);
+            handle.submit(event("s", 1, &[0, 1], &[("x1", 1)]), &tx);
+            assert_eq!(wait_verdict(&rx, "ef"), WireVerdict::Detected(vec![1, 1]));
+            // "Crash": the WAL keeps the refused opens.
+            drop(handle);
+            drop(service);
+        }
+        let service = MonitorService::open(config).unwrap();
+        let m = service.metrics();
+        assert_eq!(
+            m.recovery_replayed, 6,
+            "three refused opens, one open, two events"
+        );
+        assert_eq!(m.sessions_recovered, 1, "only the valid session");
+        service.shutdown();
+    }
+
     // ---- distributed sessions ---------------------------------------------
 
     /// [`fig2_open`] under a distribution role — same processes, vars
@@ -2410,7 +2113,7 @@ mod tests {
             self.next_seq += 1;
             handle.submit(
                 ClientMsg::DistEvent {
-                    session: format!("{}#w{}", self.origin, hb_dist::owner(p, self.k)),
+                    session: format!("{}#w{}", self.origin, wire::owner(p, self.k)),
                     seq,
                     event: wire::EventFrame {
                         p,

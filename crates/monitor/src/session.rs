@@ -14,15 +14,27 @@
 //! events are discarded (their causal past can never complete), every
 //! process is declared finished, and any predicate still pending
 //! becomes `Impossible`.
+//!
+//! Everything behind the causal buffer — delivery into the detectors,
+//! the deferred-skip flush before an admitted observation, finish
+//! forwarding, settle-once verdict collection, close, and the detector
+//! half of snapshots — lives in one detection core, generic over the
+//! buffered payload. A session feeds it variable assignments; a
+//! distributed aggregator ([`crate::dist`]) feeds it the workers'
+//! slice-membership bits, which is what makes its frames byte-identical
+//! to a session's. Both roles, and the distributed workers, validate
+//! their open request through the same check sequence.
 
-use crate::buffer::{CausalBuffer, IngestError, OverflowPolicy};
+use crate::buffer::{CausalBuffer, Delivered, IngestError, OverflowPolicy};
 use crate::persist::{HeldEventSnapshot, MonitorSnapshot, SessionSnapshot};
 use hb_computation::{LocalState, VarId, VarTable};
-use hb_detect::online::{OnlineEfConjunctive, OnlineEfDisjunctive, OnlineMonitor, OnlineVerdict};
+use hb_detect::online::{
+    DetectorState, OnlineEfConjunctive, OnlineEfDisjunctive, OnlineMonitor, OnlineVerdict,
+};
 use hb_pattern::PredictiveMatcher;
 use hb_predicates::{CmpOp, LocalExpr};
 use hb_slice::SliceFilter;
-use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate};
+use hb_tracefmt::wire::{WireClause, WireMode, WirePredicate, MAX_FRAME_BYTES};
 use hb_vclock::VectorClock;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -77,38 +89,6 @@ pub struct VerdictEvent {
     pub verdict: OnlineVerdict,
 }
 
-/// One atom of a pattern predicate, resolved against the session's
-/// variable table at open time.
-struct CompiledAtom {
-    /// `None` = the atom matches on any process.
-    process: Option<usize>,
-    var: VarId,
-    op: CmpOp,
-    value: i64,
-}
-
-/// One registered predicate and its detector.
-struct MonitorEntry {
-    id: String,
-    /// Per-process local clause (`None` = the process has no clause).
-    /// Empty for pattern predicates, which carry `atoms` instead.
-    clauses: Vec<Option<LocalExpr>>,
-    /// Pattern atoms (`Some` iff the predicate's mode is `Pattern`).
-    /// Atoms are matched against an event's **assignments**, not the
-    /// accumulated local state: a pattern names things that *happen*.
-    atoms: Option<Vec<CompiledAtom>>,
-    monitor: Box<dyn OnlineMonitor + Send>,
-    /// Slicing ingest filter fronting the detector (regular predicates
-    /// only): slice-irrelevant events never reach `monitor`, their
-    /// observations deferred as batched `skip_states` counter bumps.
-    slice: Option<SliceFilter>,
-    /// Filter counters already pushed to the service metrics:
-    /// `(events_in, events_filtered)` watermark.
-    slice_reported: (u64, u64),
-    /// Set once the verdict has been reported.
-    emitted: bool,
-}
-
 /// Limits and policy for a session's causal buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionLimits {
@@ -133,25 +113,38 @@ impl Default for SessionLimits {
     }
 }
 
-/// One monitored computation with its registered detectors.
-pub struct Session {
-    name: String,
-    vars: VarTable,
-    /// The predicates as registered at open (retained for snapshots).
-    predicates: Vec<WirePredicate>,
-    /// Current local state per process (advanced on delivery).
-    states: Vec<LocalState>,
-    buffer: CausalBuffer<Vec<(VarId, i64)>>,
-    monitors: Vec<MonitorEntry>,
-    /// Client-declared stream ends.
-    finished: Vec<bool>,
-    /// Processes whose finish has been forwarded to the detectors.
-    monitor_finished: Vec<bool>,
-    /// Delivered events (for stats and the e2e assertions).
-    delivered: u64,
-    /// Verdicts that settled already at open (initial-cut detections),
-    /// waiting to be collected by the service.
-    pending_initial: Vec<VerdictEvent>,
+// ---- open validation ------------------------------------------------------
+
+/// One atom of a pattern predicate, resolved against the session's
+/// variable table at open time.
+#[derive(Clone)]
+pub(crate) struct CompiledAtom {
+    /// `None` = the atom matches on any process.
+    process: Option<usize>,
+    var: VarId,
+    op: CmpOp,
+    value: i64,
+}
+
+/// One validated predicate: per-process local clauses for the clause
+/// modes, resolved atoms for a pattern.
+pub(crate) struct CompiledPredicate {
+    pub(crate) id: String,
+    /// Per-process local clause (`None` = the process has no clause).
+    /// Empty for pattern predicates.
+    pub(crate) clauses: Vec<Option<LocalExpr>>,
+    /// Pattern atoms (`Some` iff the predicate's mode is `Pattern`).
+    atoms: Option<Vec<CompiledAtom>>,
+}
+
+/// A validated open request.
+pub(crate) struct OpenRequest {
+    /// The session's variable namespace.
+    pub(crate) vars: VarTable,
+    /// Initial local state per process.
+    pub(crate) states: Vec<LocalState>,
+    /// The predicates, in registration order.
+    pub(crate) predicates: Vec<CompiledPredicate>,
 }
 
 fn parse_op(op: &str) -> Option<CmpOp> {
@@ -166,6 +159,537 @@ fn parse_op(op: &str) -> Option<CmpOp> {
     })
 }
 
+/// Validates an open request — the one check sequence plain sessions,
+/// distributed workers and aggregators share, so a malformed open is
+/// refused by every member of a partition with the message a plain
+/// session would send. `distributed` adds the conjunctive-only rule:
+/// disjunctive and pattern detection carry cross-process state that
+/// does not decompose into worker-local clause streams.
+pub(crate) fn validate_open(
+    processes: usize,
+    var_names: &[String],
+    initial: &[BTreeMap<String, i64>],
+    predicates: &[WirePredicate],
+    distributed: bool,
+) -> Result<OpenRequest, SessionError> {
+    let bad = |m: String| SessionError::BadOpen(m);
+    if processes == 0 {
+        return Err(bad("zero processes".into()));
+    }
+    // Every clock entry takes at least two bytes on the wire, so no
+    // event frame can reach a wider session; and every predicate keeps
+    // per-process tables. Refusing here keeps one hostile open (which
+    // the WAL would replay on every restart) from aborting the monitor
+    // on allocation.
+    if processes > MAX_FRAME_BYTES / 2 {
+        return Err(bad(format!(
+            "{processes} processes; no {MAX_FRAME_BYTES}-byte frame can carry a clock that wide"
+        )));
+    }
+    if processes.saturating_mul(predicates.len()) > MAX_FRAME_BYTES {
+        return Err(bad(format!(
+            "{processes} processes × {} predicates exceeds the {MAX_FRAME_BYTES}-entry table limit",
+            predicates.len()
+        )));
+    }
+    if initial.len() > processes {
+        return Err(bad(format!(
+            "{} initial maps for {processes} processes",
+            initial.len()
+        )));
+    }
+    let mut vars = VarTable::new();
+    for v in var_names {
+        vars.declare(v);
+    }
+    let mut states = vec![LocalState::zeroed(vars.len()); processes];
+    for (i, init) in initial.iter().enumerate() {
+        for (vname, &value) in init {
+            let id = vars
+                .lookup(vname)
+                .ok_or_else(|| bad(format!("undeclared variable '{vname}' in initial")))?;
+            states[i].set(id, value);
+        }
+    }
+
+    let mut compiled = Vec::with_capacity(predicates.len());
+    let mut seen_ids = std::collections::BTreeSet::new();
+    for pred in predicates {
+        let bad_pred = |m: String| bad(format!("predicate '{}'{m}", pred.id));
+        if !seen_ids.insert(&pred.id) {
+            return Err(bad(format!("duplicate predicate id '{}'", pred.id)));
+        }
+        if distributed && pred.mode != WireMode::Conjunctive {
+            return Err(bad_pred(
+                ": distributed sessions support conjunctive predicates only".into(),
+            ));
+        }
+        if pred.mode == WireMode::Pattern {
+            compiled.push(validate_pattern(pred, processes, &vars)?);
+            continue;
+        }
+        if pred.pattern.is_some() {
+            return Err(bad_pred(": a pattern body requires mode 'pattern'".into()));
+        }
+        if pred.clauses.is_empty() {
+            return Err(bad_pred(" has no clauses".into()));
+        }
+        let mut clauses: Vec<Option<LocalExpr>> = vec![None; processes];
+        for WireClause {
+            process,
+            var,
+            op,
+            value,
+        } in &pred.clauses
+        {
+            if *process >= processes {
+                return Err(bad_pred(format!(": process {process} out of range")));
+            }
+            let id = vars
+                .lookup(var)
+                .ok_or_else(|| bad_pred(format!(": undeclared variable '{var}'")))?;
+            let cmp = parse_op(op).ok_or_else(|| bad_pred(format!(": unknown operator '{op}'")))?;
+            let expr = LocalExpr::Cmp(id, cmp, *value);
+            // Several clauses on one process fold with the mode's
+            // connective.
+            clauses[*process] = Some(match (clauses[*process].take(), pred.mode) {
+                (None, _) => expr,
+                (Some(prev), WireMode::Conjunctive) => prev.and(expr),
+                (Some(prev), WireMode::Disjunctive) => prev.or(expr),
+                (Some(_), WireMode::Pattern) => unreachable!("handled above"),
+            });
+        }
+        compiled.push(CompiledPredicate {
+            id: pred.id.clone(),
+            clauses,
+            atoms: None,
+        });
+    }
+    Ok(OpenRequest {
+        vars,
+        states,
+        predicates: compiled,
+    })
+}
+
+/// Validates a pattern predicate's body.
+fn validate_pattern(
+    pred: &WirePredicate,
+    processes: usize,
+    vars: &VarTable,
+) -> Result<CompiledPredicate, SessionError> {
+    let bad = |m: String| SessionError::BadOpen(format!("predicate '{}': {m}", pred.id));
+    if !pred.clauses.is_empty() {
+        return Err(bad("pattern predicates take no clauses".into()));
+    }
+    let pattern = pred
+        .pattern
+        .as_ref()
+        .ok_or_else(|| bad("mode 'pattern' without a pattern body".into()))?;
+    if pattern.atoms.is_empty() {
+        return Err(bad("empty pattern".into()));
+    }
+    if pattern.atoms.len() > 64 {
+        return Err(bad(format!(
+            "{} atoms; the label mask caps patterns at 64",
+            pattern.atoms.len()
+        )));
+    }
+    if pattern.atoms[0].causal {
+        return Err(bad(
+            "the first atom has no predecessor to be causally after".into(),
+        ));
+    }
+    let mut atoms = Vec::with_capacity(pattern.atoms.len());
+    for a in &pattern.atoms {
+        if let Some(p) = a.process {
+            if p >= processes {
+                return Err(bad(format!("process {p} out of range")));
+            }
+        }
+        let var = vars
+            .lookup(&a.var)
+            .ok_or_else(|| bad(format!("undeclared variable '{}'", a.var)))?;
+        let op = parse_op(&a.op).ok_or_else(|| bad(format!("unknown operator '{}'", a.op)))?;
+        atoms.push(CompiledAtom {
+            process: a.process,
+            var,
+            op,
+            value: a.value,
+        });
+    }
+    Ok(CompiledPredicate {
+        id: pred.id.clone(),
+        clauses: Vec::new(),
+        atoms: Some(atoms),
+    })
+}
+
+// ---- the detection core ---------------------------------------------------
+
+/// One registered predicate's detector inside a [`Core`], plus the
+/// role-specific stage `S` that turns a delivered payload into
+/// observations.
+pub(crate) struct Detector<S> {
+    pub(crate) id: String,
+    /// Pattern predicate (drives the per-predicate stats keys).
+    pattern: bool,
+    pub(crate) monitor: Box<dyn OnlineMonitor + Send>,
+    /// Set once the verdict has been reported.
+    pub(crate) emitted: bool,
+    pub(crate) stage: S,
+}
+
+impl<S> Detector<S> {
+    /// The on-line detector for a validated predicate, primed with the
+    /// processes' initial states.
+    pub(crate) fn open(
+        pred: &CompiledPredicate,
+        wire: &WirePredicate,
+        states: &[LocalState],
+        stage: S,
+    ) -> Detector<S> {
+        let n = states.len();
+        let monitor: Box<dyn OnlineMonitor + Send> = match (&pred.atoms, &wire.pattern) {
+            (Some(_), Some(pattern)) => Box::new(PredictiveMatcher::from_wire(n, pattern)),
+            _ => {
+                let initially: Vec<bool> = (0..n)
+                    .map(|i| pred.clauses[i].as_ref().is_some_and(|c| c.eval(&states[i])))
+                    .collect();
+                if wire.mode == WireMode::Disjunctive {
+                    Box::new(OnlineEfDisjunctive::new(n, initially))
+                } else {
+                    let participating = pred.clauses.iter().map(Option::is_some).collect();
+                    Box::new(OnlineEfConjunctive::new(n, participating, initially))
+                }
+            }
+        };
+        Detector {
+            id: pred.id.clone(),
+            pattern: pred.atoms.is_some(),
+            monitor,
+            emitted: false,
+            stage,
+        }
+    }
+
+    /// Observes a slice-member state of `p`, first flushing the
+    /// `skipped` non-member observations deferred before it — so the
+    /// detector numbers this state exactly as an unfiltered run would.
+    pub(crate) fn admit(&mut self, p: usize, skipped: u64, clock: &VectorClock) {
+        if skipped > 0 {
+            self.monitor.skip_states(p, skipped);
+        }
+        self.monitor.observe(p, true, clock);
+    }
+
+    fn verdict(&self) -> VerdictEvent {
+        VerdictEvent {
+            predicate: self.id.clone(),
+            pattern: self.pattern,
+            verdict: self.monitor.verdict().clone(),
+        }
+    }
+}
+
+/// The detection pipeline behind an open request, shared by plain
+/// sessions (payload: variable assignments) and distributed
+/// aggregators (payload: slice-membership bits). It owns the causal
+/// buffer and the detectors; the caller says only how one delivered
+/// payload feeds the detectors.
+pub(crate) struct Core<P, S> {
+    /// The session's variable namespace.
+    pub(crate) vars: VarTable,
+    /// The predicates as registered at open (retained for snapshots).
+    pub(crate) predicates: Vec<WirePredicate>,
+    pub(crate) buffer: CausalBuffer<P>,
+    pub(crate) detectors: Vec<Detector<S>>,
+    /// Client-declared stream ends.
+    pub(crate) finished: Vec<bool>,
+    /// Processes whose finish has been forwarded to the detectors.
+    pub(crate) monitor_finished: Vec<bool>,
+    /// Delivered events (for stats and the e2e assertions).
+    delivered: u64,
+    /// Verdicts that settled already at open (initial-cut detections),
+    /// waiting to be collected by the service.
+    pending_initial: Vec<VerdictEvent>,
+}
+
+impl<P, S> Core<P, S> {
+    /// Wraps validated detectors; a predicate that already holds in the
+    /// initial cut settles here, for [`Core::take_initial_verdicts`].
+    pub(crate) fn new(
+        vars: VarTable,
+        predicates: &[WirePredicate],
+        detectors: Vec<Detector<S>>,
+        processes: usize,
+        limits: SessionLimits,
+    ) -> Self {
+        let mut core = Core {
+            vars,
+            predicates: predicates.to_vec(),
+            buffer: CausalBuffer::new(processes, limits.buffer_capacity, limits.policy),
+            detectors,
+            finished: vec![false; processes],
+            monitor_finished: vec![false; processes],
+            delivered: 0,
+            pending_initial: Vec::new(),
+        };
+        let mut initial = Vec::new();
+        core.collect_settled(&mut initial);
+        core.pending_initial = initial;
+        core
+    }
+
+    pub(crate) fn take_initial_verdicts(&mut self) -> Vec<VerdictEvent> {
+        std::mem::take(&mut self.pending_initial)
+    }
+
+    pub(crate) fn processes(&self) -> usize {
+        self.finished.len()
+    }
+
+    pub(crate) fn held(&self) -> usize {
+        self.buffer.held()
+    }
+
+    pub(crate) fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Refuses events of `p` once its finish reached the detectors. A
+    /// declared-finished process may still owe held events their causal
+    /// predecessors (reordering can let the finish overtake earlier
+    /// events in transit), so the finish alone refuses nothing.
+    pub(crate) fn refuse_finished(&self, p: usize) -> Result<(), SessionError> {
+        if p < self.finished.len() && self.monitor_finished[p] {
+            return Err(SessionError::AlreadyFinished(p));
+        }
+        Ok(())
+    }
+
+    /// Ingests one event; `feed` hands every delivery the buffer
+    /// releases to the detectors. Returns the verdicts that settled.
+    pub(crate) fn ingest(
+        &mut self,
+        p: usize,
+        clock: VectorClock,
+        payload: P,
+        mut feed: impl FnMut(&Delivered<P>, &mut [Detector<S>]),
+    ) -> Result<Vec<VerdictEvent>, SessionError> {
+        let released = self.buffer.ingest(p, clock, payload)?;
+        for d in released {
+            self.delivered += 1;
+            feed(&d, &mut self.detectors);
+        }
+        let mut verdicts = Vec::new();
+        self.collect_settled(&mut verdicts);
+        // A delivery may have drained the last held event of an
+        // already-finished process.
+        self.forward_finishes(&mut verdicts);
+        Ok(verdicts)
+    }
+
+    /// Declares that process `p` will produce no further events.
+    pub(crate) fn finish_process(&mut self, p: usize) -> Result<Vec<VerdictEvent>, SessionError> {
+        if p >= self.finished.len() {
+            return Err(SessionError::BadEvent(format!("process {p} out of range")));
+        }
+        self.finished[p] = true;
+        let mut verdicts = Vec::new();
+        self.forward_finishes(&mut verdicts);
+        Ok(verdicts)
+    }
+
+    /// Discards stranded held events, declares every process finished,
+    /// and force-settles all remaining predicates. Returns the settled
+    /// verdicts plus the number of discarded events.
+    pub(crate) fn close(&mut self) -> (Vec<VerdictEvent>, u64) {
+        let discarded = self.buffer.discard_held().len() as u64;
+        for p in 0..self.finished.len() {
+            self.finish_detectors(p);
+        }
+        let mut verdicts = Vec::new();
+        self.collect_settled(&mut verdicts);
+        (verdicts, discarded)
+    }
+
+    /// The current verdict of every predicate (settled or not).
+    pub(crate) fn all_verdicts(&self) -> Vec<VerdictEvent> {
+        self.detectors.iter().map(Detector::verdict).collect()
+    }
+
+    /// Forwards client-declared finishes to the detectors once the
+    /// buffer holds nothing more from the process (a held event may
+    /// still be observed later, and detectors reject post-finish
+    /// observations).
+    fn forward_finishes(&mut self, out: &mut Vec<VerdictEvent>) {
+        for p in 0..self.finished.len() {
+            if self.finished[p] && self.buffer.held_from(p) == 0 {
+                self.finish_detectors(p);
+            }
+        }
+        self.collect_settled(out);
+    }
+
+    fn finish_detectors(&mut self, p: usize) {
+        if !self.monitor_finished[p] {
+            self.monitor_finished[p] = true;
+            for det in &mut self.detectors {
+                if !det.emitted {
+                    det.monitor.finish_process(p);
+                }
+            }
+        }
+    }
+
+    /// Emits newly settled verdicts, once each.
+    fn collect_settled(&mut self, out: &mut Vec<VerdictEvent>) {
+        for det in &mut self.detectors {
+            if !det.emitted && det.monitor.is_settled() {
+                det.emitted = true;
+                out.push(det.verdict());
+            }
+        }
+    }
+
+    /// Overwrites buffer, finish state and detectors with frozen
+    /// values. Errors name the inconsistent part of the snapshot.
+    pub(crate) fn restore(
+        &mut self,
+        frozen: FrozenCore<'_, P>,
+        limits: SessionLimits,
+    ) -> Result<(), &'static str> {
+        let n = self.processes();
+        if frozen.frontier.len() != n
+            || frozen.finished.len() != n
+            || frozen.monitor_finished.len() != n
+        {
+            return Err("per-process vectors");
+        }
+        if frozen.monitors.len() != self.detectors.len() {
+            return Err("monitor count");
+        }
+        let mut held = Vec::with_capacity(frozen.held.len());
+        for (p, clock, payload) in frozen.held {
+            if p >= n || clock.len() != n {
+                return Err("held event");
+            }
+            held.push((p, VectorClock::from_components(clock), payload));
+        }
+        self.buffer = CausalBuffer::restore(
+            frozen.frontier.to_vec(),
+            held,
+            limits.buffer_capacity,
+            limits.policy,
+        );
+        for (det, (id, emitted, state)) in self.detectors.iter_mut().zip(frozen.monitors) {
+            if det.id != id {
+                return Err("monitor order");
+            }
+            det.monitor = hb_pattern::restore_any(state);
+            det.emitted = emitted;
+        }
+        self.finished = frozen.finished.to_vec();
+        self.monitor_finished = frozen.monitor_finished.to_vec();
+        self.delivered = frozen.delivered;
+        self.pending_initial.clear();
+        Ok(())
+    }
+}
+
+/// A [`Core`]'s state as read back from a snapshot.
+pub(crate) struct FrozenCore<'a, P> {
+    /// The causal buffer's delivered frontier.
+    pub(crate) frontier: &'a [u32],
+    /// Held events in arrival order: `(process, clock, payload)`.
+    pub(crate) held: Vec<(usize, Vec<u32>, P)>,
+    pub(crate) finished: &'a [bool],
+    pub(crate) monitor_finished: &'a [bool],
+    pub(crate) delivered: u64,
+    /// `(id, emitted, detector state)` per predicate, in registration
+    /// order.
+    pub(crate) monitors: Vec<(&'a str, bool, &'a DetectorState)>,
+}
+
+// ---- plain sessions -------------------------------------------------------
+
+/// How a plain session turns a delivered event into one predicate's
+/// observation.
+pub(crate) enum Stage {
+    /// Local clauses evaluated on the post-state. Regular predicates
+    /// are detected on the slice: a filter drops slice-irrelevant
+    /// events before the detector, deferring their observations as
+    /// batched `skip_states` counter bumps.
+    Clauses {
+        /// Per-process local clause (`None` = the process has no clause).
+        clauses: Vec<Option<LocalExpr>>,
+        slice: Option<SliceFilter>,
+    },
+    /// Pattern atoms, matched against the event's **assignments**, not
+    /// the accumulated local state: a pattern names things that
+    /// *happen*.
+    Pattern(Vec<CompiledAtom>),
+}
+
+impl Detector<Stage> {
+    /// Feeds one delivered event, whose assignments `state` already
+    /// reflects.
+    fn observe(&mut self, d: &Delivered<Vec<(VarId, i64)>>, state: &LocalState) {
+        let skipped = match &mut self.stage {
+            Stage::Pattern(atoms) => {
+                let mut mask = 0u64;
+                for (k, a) in atoms.iter().enumerate() {
+                    if a.process.is_some_and(|p| p != d.process) {
+                        continue;
+                    }
+                    if d.payload
+                        .iter()
+                        .any(|&(var, value)| var == a.var && a.op.apply(value, a.value))
+                    {
+                        mask |= 1 << k;
+                    }
+                }
+                self.monitor.observe_atoms(d.process, mask, &d.clock);
+                return;
+            }
+            Stage::Clauses {
+                clauses,
+                slice: None,
+                ..
+            } => {
+                let holds = clauses[d.process].as_ref().is_some_and(|c| c.eval(state));
+                self.monitor.observe(d.process, holds, &d.clock);
+                return;
+            }
+            Stage::Clauses {
+                clauses,
+                slice: Some(filter),
+                ..
+            } => {
+                let clause = clauses[d.process].as_ref();
+                let delta =
+                    filter.advance(d.process, d.payload.iter().map(|&(var, _)| var), || {
+                        clause.is_some_and(|c| c.eval(state))
+                    });
+                if !delta.is_member() {
+                    return;
+                }
+                filter.take_pending(d.process)
+            }
+        };
+        self.admit(d.process, skipped, &d.clock);
+    }
+}
+
+/// One monitored computation with its registered detectors.
+pub struct Session {
+    name: String,
+    /// Current local state per process (advanced on delivery).
+    states: Vec<LocalState>,
+    core: Core<Vec<(VarId, i64)>, Stage>,
+}
+
 impl Session {
     /// Opens a session: validates the predicates against the declared
     /// variables and process count, builds initial states, and
@@ -178,213 +702,46 @@ impl Session {
         predicates: &[WirePredicate],
         limits: SessionLimits,
     ) -> Result<Session, SessionError> {
-        if processes == 0 {
-            return Err(SessionError::BadOpen("zero processes".into()));
-        }
-        if initial.len() > processes {
-            return Err(SessionError::BadOpen(format!(
-                "{} initial maps for {processes} processes",
-                initial.len()
-            )));
-        }
-        let mut vars = VarTable::new();
-        for v in var_names {
-            vars.declare(v);
-        }
-        let mut states = vec![LocalState::zeroed(vars.len()); processes];
-        for (i, init) in initial.iter().enumerate() {
-            for (vname, &value) in init {
-                let id = vars.lookup(vname).ok_or_else(|| {
-                    SessionError::BadOpen(format!("undeclared variable '{vname}' in initial"))
-                })?;
-                states[i].set(id, value);
-            }
-        }
-
-        let mut monitors = Vec::with_capacity(predicates.len());
-        let mut seen_ids = std::collections::BTreeSet::new();
-        for pred in predicates {
-            if !seen_ids.insert(&pred.id) {
-                return Err(SessionError::BadOpen(format!(
-                    "duplicate predicate id '{}'",
-                    pred.id
-                )));
-            }
-            if pred.mode == WireMode::Pattern {
-                let entry = Self::open_pattern(pred, processes, &vars)?;
-                monitors.push(entry);
-                continue;
-            }
-            if pred.pattern.is_some() {
-                return Err(SessionError::BadOpen(format!(
-                    "predicate '{}': a pattern body requires mode 'pattern'",
-                    pred.id
-                )));
-            }
-            if pred.clauses.is_empty() {
-                return Err(SessionError::BadOpen(format!(
-                    "predicate '{}' has no clauses",
-                    pred.id
-                )));
-            }
-            let mut clauses: Vec<Option<LocalExpr>> = vec![None; processes];
-            for WireClause {
-                process,
-                var,
-                op,
-                value,
-            } in &pred.clauses
-            {
-                if *process >= processes {
-                    return Err(SessionError::BadOpen(format!(
-                        "predicate '{}': process {process} out of range",
-                        pred.id
-                    )));
-                }
-                let id = vars.lookup(var).ok_or_else(|| {
-                    SessionError::BadOpen(format!(
-                        "predicate '{}': undeclared variable '{var}'",
-                        pred.id
-                    ))
-                })?;
-                let cmp = parse_op(op).ok_or_else(|| {
-                    SessionError::BadOpen(format!(
-                        "predicate '{}': unknown operator '{op}'",
-                        pred.id
-                    ))
-                })?;
-                let expr = LocalExpr::Cmp(id, cmp, *value);
-                // Several clauses on one process fold with the mode's
-                // connective.
-                clauses[*process] = Some(match (clauses[*process].take(), pred.mode) {
-                    (None, _) => expr,
-                    (Some(prev), WireMode::Conjunctive) => prev.and(expr),
-                    (Some(prev), WireMode::Disjunctive) => prev.or(expr),
-                    (Some(_), WireMode::Pattern) => unreachable!("handled above"),
-                });
-            }
-            let initially: Vec<bool> = (0..processes)
-                .map(|i| clauses[i].as_ref().is_some_and(|c| c.eval(&states[i])))
-                .collect();
-            let monitor: Box<dyn OnlineMonitor + Send> = match pred.mode {
-                WireMode::Conjunctive => {
-                    let participating: Vec<bool> = clauses.iter().map(Option::is_some).collect();
-                    Box::new(OnlineEfConjunctive::new(
-                        processes,
-                        participating,
-                        initially,
-                    ))
-                }
-                WireMode::Disjunctive => Box::new(OnlineEfDisjunctive::new(processes, initially)),
-                WireMode::Pattern => unreachable!("handled above"),
-            };
-            // Regular predicates are detected on the slice: an ingest
-            // filter drops slice-irrelevant events before the detector.
-            let slice = (limits.slice && hb_slice::sliceable(pred.mode))
-                .then(|| SliceFilter::from_clauses(&clauses, &states));
-            monitors.push(MonitorEntry {
-                id: pred.id.clone(),
-                clauses,
-                atoms: None,
-                monitor,
-                slice,
-                slice_reported: (0, 0),
-                emitted: false,
-            });
-        }
-
-        let mut s = Session {
+        let req = validate_open(processes, var_names, initial, predicates, false)?;
+        let detectors = req
+            .predicates
+            .iter()
+            .zip(predicates)
+            .map(|(pred, wire)| {
+                let stage = match &pred.atoms {
+                    Some(atoms) => Stage::Pattern(atoms.clone()),
+                    None => Stage::Clauses {
+                        slice: (limits.slice && hb_slice::sliceable(wire.mode))
+                            .then(|| SliceFilter::from_clauses(&pred.clauses, &req.states)),
+                        clauses: pred.clauses.clone(),
+                    },
+                };
+                Detector::open(pred, wire, &req.states, stage)
+            })
+            .collect();
+        Ok(Session {
             name: name.to_string(),
-            vars,
-            predicates: predicates.to_vec(),
-            states,
-            buffer: CausalBuffer::new(processes, limits.buffer_capacity, limits.policy),
-            monitors,
-            finished: vec![false; processes],
-            monitor_finished: vec![false; processes],
-            delivered: 0,
-            pending_initial: Vec::new(),
-        };
-        // A predicate can already hold in the initial cut.
-        let mut initial_verdicts = Vec::new();
-        s.collect_settled(&mut initial_verdicts);
-        s.pending_initial = initial_verdicts;
-        Ok(s)
-    }
-
-    /// Validates a pattern predicate and instantiates its predictive
-    /// matcher.
-    fn open_pattern(
-        pred: &WirePredicate,
-        processes: usize,
-        vars: &VarTable,
-    ) -> Result<MonitorEntry, SessionError> {
-        let bad = |m: String| SessionError::BadOpen(format!("predicate '{}': {m}", pred.id));
-        if !pred.clauses.is_empty() {
-            return Err(bad("pattern predicates take no clauses".into()));
-        }
-        let pattern = pred
-            .pattern
-            .as_ref()
-            .ok_or_else(|| bad("mode 'pattern' without a pattern body".into()))?;
-        if pattern.atoms.is_empty() {
-            return Err(bad("empty pattern".into()));
-        }
-        if pattern.atoms.len() > 64 {
-            return Err(bad(format!(
-                "{} atoms; the label mask caps patterns at 64",
-                pattern.atoms.len()
-            )));
-        }
-        if pattern.atoms[0].causal {
-            return Err(bad(
-                "the first atom has no predecessor to be causally after".into(),
-            ));
-        }
-        let mut atoms = Vec::with_capacity(pattern.atoms.len());
-        for a in &pattern.atoms {
-            if let Some(p) = a.process {
-                if p >= processes {
-                    return Err(bad(format!("process {p} out of range")));
-                }
-            }
-            let var = vars
-                .lookup(&a.var)
-                .ok_or_else(|| bad(format!("undeclared variable '{}'", a.var)))?;
-            let op = parse_op(&a.op).ok_or_else(|| bad(format!("unknown operator '{}'", a.op)))?;
-            atoms.push(CompiledAtom {
-                process: a.process,
-                var,
-                op,
-                value: a.value,
-            });
-        }
-        Ok(MonitorEntry {
-            id: pred.id.clone(),
-            clauses: Vec::new(),
-            atoms: Some(atoms),
-            monitor: Box::new(PredictiveMatcher::from_wire(processes, pattern)),
-            slice: None,
-            slice_reported: (0, 0),
-            emitted: false,
+            core: Core::new(req.vars, predicates, detectors, processes, limits),
+            states: req.states,
         })
     }
 
     /// Verdicts that settled at open time (initial-cut detections).
     pub fn take_initial_verdicts(&mut self) -> Vec<VerdictEvent> {
-        std::mem::take(&mut self.pending_initial)
+        self.core.take_initial_verdicts()
     }
 
     /// Freezes the session's full state for persistence.
     pub fn snapshot(&self) -> SessionSnapshot {
+        let core = &self.core;
         SessionSnapshot {
             name: self.name.clone(),
             processes: self.states.len(),
-            vars: self.vars.iter().map(|(_, n)| n.to_string()).collect(),
-            predicates: self.predicates.clone(),
+            vars: core.vars.iter().map(|(_, n)| n.to_string()).collect(),
+            predicates: core.predicates.clone(),
             states: self.states.iter().map(|s| s.values().to_vec()).collect(),
-            frontier: self.buffer.frontier().to_vec(),
-            held: self
+            frontier: core.buffer.frontier().to_vec(),
+            held: core
                 .buffer
                 .held_events()
                 .map(|(process, clock, set)| HeldEventSnapshot {
@@ -392,21 +749,24 @@ impl Session {
                     clock: clock.components().to_vec(),
                     set: set
                         .iter()
-                        .map(|(id, v)| (self.vars.name(*id).to_string(), *v))
+                        .map(|(id, v)| (core.vars.name(*id).to_string(), *v))
                         .collect(),
                 })
                 .collect(),
-            finished: self.finished.clone(),
-            monitor_finished: self.monitor_finished.clone(),
-            delivered: self.delivered,
-            monitors: self
-                .monitors
+            finished: core.finished.clone(),
+            monitor_finished: core.monitor_finished.clone(),
+            delivered: core.delivered(),
+            monitors: core
+                .detectors
                 .iter()
-                .map(|e| MonitorSnapshot {
-                    id: e.id.clone(),
-                    emitted: e.emitted,
-                    state: e.monitor.export_state(),
-                    slice: e.slice.as_ref().map(|f| f.export()),
+                .map(|d| MonitorSnapshot {
+                    id: d.id.clone(),
+                    emitted: d.emitted,
+                    state: d.monitor.export_state(),
+                    slice: match &d.stage {
+                        Stage::Clauses { slice: Some(f), .. } => Some(f.export()),
+                        _ => None,
+                    },
                 })
                 .collect(),
         }
@@ -430,11 +790,7 @@ impl Session {
             &snap.predicates,
             limits,
         )?;
-        if snap.states.len() != snap.processes
-            || snap.frontier.len() != snap.processes
-            || snap.finished.len() != snap.processes
-            || snap.monitor_finished.len() != snap.processes
-        {
+        if snap.states.len() != snap.processes {
             return Err(shape("per-process vectors"));
         }
         s.states = snap
@@ -444,43 +800,47 @@ impl Session {
             .collect();
         let mut held = Vec::with_capacity(snap.held.len());
         for h in &snap.held {
-            if h.process >= snap.processes || h.clock.len() != snap.processes {
-                return Err(shape("held event"));
-            }
             let mut set = Vec::with_capacity(h.set.len());
             for (vname, &value) in &h.set {
-                let id = s.vars.lookup(vname).ok_or_else(|| shape("held variable"))?;
+                let id = s
+                    .core
+                    .vars
+                    .lookup(vname)
+                    .ok_or_else(|| shape("held variable"))?;
                 set.push((id, value));
             }
-            held.push((
-                h.process,
-                VectorClock::from_components(h.clock.clone()),
-                set,
-            ));
+            held.push((h.process, h.clock.clone(), set));
         }
-        s.buffer = CausalBuffer::restore(
-            snap.frontier.clone(),
+        let frozen = FrozenCore {
+            frontier: &snap.frontier,
             held,
-            limits.buffer_capacity,
-            limits.policy,
-        );
-        if snap.monitors.len() != s.monitors.len() {
-            return Err(shape("monitor count"));
-        }
-        for (entry, m) in s.monitors.iter_mut().zip(&snap.monitors) {
-            if entry.id != m.id {
-                return Err(shape("monitor order"));
-            }
-            entry.monitor = hb_pattern::restore_any(&m.state);
-            entry.emitted = m.emitted;
-            match (&mut entry.slice, &m.slice) {
-                (Some(f), Some(state)) => {
+            finished: &snap.finished,
+            monitor_finished: &snap.monitor_finished,
+            delivered: snap.delivered,
+            monitors: snap
+                .monitors
+                .iter()
+                .map(|m| (m.id.as_str(), m.emitted, &m.state))
+                .collect(),
+        };
+        s.core.restore(frozen, limits).map_err(shape)?;
+        for (det, m) in s.core.detectors.iter_mut().zip(&snap.monitors) {
+            let filter = match &mut det.stage {
+                Stage::Clauses {
+                    clauses,
+                    slice: Some(f),
+                    ..
+                } => Some((f, clauses)),
+                _ => None,
+            };
+            match (filter, &m.slice) {
+                (Some((f, _)), Some(state)) => {
                     f.restore(state).map_err(|_| shape("slice state"))?;
                 }
-                (Some(f), None) => {
+                (Some((f, clauses)), None) => {
                     // Pre-slicing snapshot: start the filter from the
                     // restored states with fresh counters.
-                    *f = SliceFilter::from_clauses(&entry.clauses, &s.states);
+                    *f = SliceFilter::from_clauses(clauses, &s.states);
                 }
                 (None, Some(_)) => {
                     // The snapshot was taken with slicing on: the
@@ -491,10 +851,6 @@ impl Session {
                 (None, None) => {}
             }
         }
-        s.finished = snap.finished.clone();
-        s.monitor_finished = snap.monitor_finished.clone();
-        s.delivered = snap.delivered;
-        s.pending_initial.clear();
         Ok(s)
     }
 
@@ -510,30 +866,25 @@ impl Session {
 
     /// Events currently held in the causal buffer.
     pub fn held(&self) -> usize {
-        self.buffer.held()
+        self.core.held()
     }
 
     /// Events delivered to the detectors so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.core.delivered()
     }
 
     /// Per-predicate slice-filter counters not yet pushed to the
     /// service metrics: `(predicate id, Δevents_in, Δevents_filtered)`
-    /// since the previous call. Advances the watermark, so each
-    /// observation is reported exactly once. After a crash-recovery
-    /// restore the watermark restarts at zero: the first flush resyncs
-    /// the fresh metrics with the recovered totals.
+    /// since the previous call. After a crash-recovery restore the
+    /// watermark restarts at zero: the first flush resyncs the fresh
+    /// metrics with the recovered totals.
     pub fn take_slice_stats(&mut self) -> Vec<(String, u64, u64)> {
         let mut out = Vec::new();
-        for e in &mut self.monitors {
-            if let Some(f) = &e.slice {
-                let (total_in, total_filtered) = (f.events_in(), f.events_filtered());
-                let delta_in = total_in - e.slice_reported.0;
-                let delta_filtered = total_filtered - e.slice_reported.1;
-                if delta_in > 0 || delta_filtered > 0 {
-                    e.slice_reported = (total_in, total_filtered);
-                    out.push((e.id.clone(), delta_in, delta_filtered));
+        for det in &mut self.core.detectors {
+            if let Stage::Clauses { slice: Some(f), .. } = &mut det.stage {
+                if let Some((events_in, events_filtered)) = f.take_counts() {
+                    out.push((det.id.clone(), events_in, events_filtered));
                 }
             }
         }
@@ -548,154 +899,45 @@ impl Session {
         clock: VectorClock,
         set: &BTreeMap<String, i64>,
     ) -> Result<Vec<VerdictEvent>, SessionError> {
-        // Reject events only once the finish reached the detectors: a
-        // declared-finished process may still owe held events their
-        // causal predecessors (reordering can let the finish overtake
-        // earlier events in transit).
-        if p < self.finished.len() && self.monitor_finished[p] {
-            return Err(SessionError::AlreadyFinished(p));
-        }
+        self.core.refuse_finished(p)?;
         let mut updates = Vec::with_capacity(set.len());
         for (vname, &value) in set {
-            let id = self
-                .vars
-                .lookup(vname)
-                .ok_or_else(|| SessionError::BadEvent(format!("undeclared variable '{vname}'")))?;
+            let id =
+                self.core.vars.lookup(vname).ok_or_else(|| {
+                    SessionError::BadEvent(format!("undeclared variable '{vname}'"))
+                })?;
             updates.push((id, value));
         }
-        let released = self.buffer.ingest(p, clock, updates)?;
-        let mut verdicts = Vec::new();
-        for d in released {
-            self.delivered += 1;
-            for (var, value) in &d.payload {
-                self.states[d.process].set(*var, *value);
+        let states = &mut self.states;
+        self.core.ingest(p, clock, updates, |d, detectors| {
+            let state = &mut states[d.process];
+            for &(var, value) in &d.payload {
+                state.set(var, value);
             }
-            for entry in &mut self.monitors {
-                if entry.emitted {
-                    continue;
-                }
-                if let Some(atoms) = &entry.atoms {
-                    // Pattern atoms match the event's assignments — the
-                    // deltas, not the accumulated state.
-                    let mut mask = 0u64;
-                    for (k, a) in atoms.iter().enumerate() {
-                        if a.process.is_some_and(|p| p != d.process) {
-                            continue;
-                        }
-                        if d.payload
-                            .iter()
-                            .any(|&(var, value)| var == a.var && a.op.apply(value, a.value))
-                        {
-                            mask |= 1 << k;
-                        }
-                    }
-                    entry.monitor.observe_atoms(d.process, mask, &d.clock);
-                } else if let Some(filter) = &mut entry.slice {
-                    let state = &self.states[d.process];
-                    let clause = entry.clauses[d.process].as_ref();
-                    let delta =
-                        filter.advance(d.process, d.payload.iter().map(|&(var, _)| var), || {
-                            clause.is_some_and(|c| c.eval(state))
-                        });
-                    if delta.is_member() {
-                        // Flush the deferred skips first, so the
-                        // detector numbers this state exactly as an
-                        // unfiltered run would.
-                        let skipped = filter.take_pending(d.process);
-                        if skipped > 0 {
-                            entry.monitor.skip_states(d.process, skipped);
-                        }
-                        entry.monitor.observe(d.process, true, &d.clock);
-                    }
-                } else {
-                    let holds = entry.clauses[d.process]
-                        .as_ref()
-                        .is_some_and(|c| c.eval(&self.states[d.process]));
-                    entry.monitor.observe(d.process, holds, &d.clock);
+            for det in detectors {
+                if !det.emitted {
+                    det.observe(d, state);
                 }
             }
-        }
-        self.collect_settled(&mut verdicts);
-        // A delivery may have drained the last held event of an
-        // already-finished process.
-        self.forward_finishes(&mut verdicts);
-        Ok(verdicts)
+        })
     }
 
     /// Declares that process `p` will produce no further events.
     pub fn finish_process(&mut self, p: usize) -> Result<Vec<VerdictEvent>, SessionError> {
-        if p >= self.finished.len() {
-            return Err(SessionError::BadEvent(format!("process {p} out of range")));
-        }
-        self.finished[p] = true;
-        let mut verdicts = Vec::new();
-        self.forward_finishes(&mut verdicts);
-        Ok(verdicts)
+        self.core.finish_process(p)
     }
 
     /// Closes the session: discards stranded held events, declares every
     /// process finished, and force-settles all remaining predicates.
     /// Returns the settled verdicts plus the number of discarded events.
     pub fn close(&mut self) -> (Vec<VerdictEvent>, u64) {
-        let discarded = self.buffer.discard_held().len() as u64;
-        let mut verdicts = Vec::new();
-        for p in 0..self.states.len() {
-            if !self.monitor_finished[p] {
-                self.monitor_finished[p] = true;
-                for entry in &mut self.monitors {
-                    if !entry.emitted {
-                        entry.monitor.finish_process(p);
-                    }
-                }
-            }
-        }
-        self.collect_settled(&mut verdicts);
-        (verdicts, discarded)
+        self.core.close()
     }
 
     /// The final verdict of every predicate (settled or not), for the
     /// close report.
     pub fn all_verdicts(&self) -> Vec<VerdictEvent> {
-        self.monitors
-            .iter()
-            .map(|e| VerdictEvent {
-                predicate: e.id.clone(),
-                pattern: e.atoms.is_some(),
-                verdict: e.monitor.verdict().clone(),
-            })
-            .collect()
-    }
-
-    /// Forwards client-declared finishes to the detectors once the
-    /// buffer holds nothing more from the process (a held event may
-    /// still be observed later, and detectors reject post-finish
-    /// observations).
-    fn forward_finishes(&mut self, out: &mut Vec<VerdictEvent>) {
-        for p in 0..self.states.len() {
-            if self.finished[p] && !self.monitor_finished[p] && self.buffer.held_from(p) == 0 {
-                self.monitor_finished[p] = true;
-                for entry in &mut self.monitors {
-                    if !entry.emitted {
-                        entry.monitor.finish_process(p);
-                    }
-                }
-            }
-        }
-        self.collect_settled(out);
-    }
-
-    /// Emits newly settled verdicts, once each.
-    fn collect_settled(&mut self, out: &mut Vec<VerdictEvent>) {
-        for entry in &mut self.monitors {
-            if !entry.emitted && entry.monitor.is_settled() {
-                entry.emitted = true;
-                out.push(VerdictEvent {
-                    predicate: entry.id.clone(),
-                    pattern: entry.atoms.is_some(),
-                    verdict: entry.monitor.verdict().clone(),
-                });
-            }
-        }
+        self.core.all_verdicts()
     }
 }
 
@@ -969,6 +1211,95 @@ mod tests {
             bad(&[pred("p", WireMode::Conjunctive, &[])]),
             SessionError::BadOpen(_)
         ));
+        // The exact messages, which every role sends alike.
+        let message = |processes: usize, initial: &[BTreeMap<String, i64>], p: &[WirePredicate]| {
+            let x = ["x".to_string()];
+            Session::open("b", processes, &x, initial, p, SessionLimits::default())
+                .err()
+                .unwrap()
+                .to_string()
+        };
+        let conj = |clauses: &[(usize, &str, &str, i64)]| pred("p", WireMode::Conjunctive, clauses);
+        assert_eq!(message(0, &[], &[]), "bad open: zero processes");
+        assert_eq!(
+            message(1, &[set(&[]), set(&[])], &[]),
+            "bad open: 2 initial maps for 1 processes"
+        );
+        assert_eq!(
+            message(2, &[set(&[("y", 1)])], &[]),
+            "bad open: undeclared variable 'y' in initial"
+        );
+        assert_eq!(
+            message(2, &[], &[conj(&[(9, "x", "=", 1)])]),
+            "bad open: predicate 'p': process 9 out of range"
+        );
+        assert_eq!(
+            message(2, &[], &[conj(&[(0, "y", "=", 1)])]),
+            "bad open: predicate 'p': undeclared variable 'y'"
+        );
+        assert_eq!(
+            message(2, &[], &[conj(&[(0, "x", "~", 1)])]),
+            "bad open: predicate 'p': unknown operator '~'"
+        );
+        assert_eq!(
+            message(2, &[], &[conj(&[])]),
+            "bad open: predicate 'p' has no clauses"
+        );
+        assert_eq!(
+            message(
+                2,
+                &[],
+                &[conj(&[(0, "x", "=", 1)]), conj(&[(1, "x", "=", 1)])]
+            ),
+            "bad open: duplicate predicate id 'p'"
+        );
+    }
+
+    #[test]
+    fn distributed_opens_accept_conjunctive_predicates_only() {
+        let x = ["x".to_string()];
+        let disjunctive = pred("d", WireMode::Disjunctive, &[(0, "x", "=", 1)]);
+        let pattern = pattern_pred("pat", &[(None, "x", 1, false)]);
+        for p in [disjunctive, pattern] {
+            let refused = validate_open(2, &x, &[], std::slice::from_ref(&p), true);
+            assert_eq!(
+                refused.err().unwrap().to_string(),
+                format!(
+                    "bad open: predicate '{}': distributed sessions support conjunctive predicates only",
+                    p.id
+                )
+            );
+            assert!(validate_open(2, &x, &[], &[p], false).is_ok());
+        }
+    }
+
+    /// Per-process tables for a width no frame could ever address would
+    /// abort the monitor on allocation — and the WAL would replay the
+    /// open on every restart.
+    #[test]
+    fn oversized_opens_are_refused_before_allocating() {
+        let err = Session::open("s", 1 << 40, &[], &[], &[], SessionLimits::default());
+        let message = err.err().unwrap().to_string();
+        assert!(message.starts_with("bad open: "), "{message}");
+        // Wide enough to address, but three predicates' tables exceed
+        // the frame budget.
+        let x = ["x".to_string()];
+        let preds: Vec<WirePredicate> = (0..3)
+            .map(|i| pred(&format!("p{i}"), WireMode::Conjunctive, &[(0, "x", "=", 1)]))
+            .collect();
+        let err = Session::open(
+            "s",
+            MAX_FRAME_BYTES / 2,
+            &x,
+            &[],
+            &preds,
+            SessionLimits::default(),
+        );
+        let message = err.err().unwrap().to_string();
+        assert!(
+            message.starts_with("bad open: ") && message.contains("3 predicates"),
+            "{message}"
+        );
     }
 
     /// Two processes sharing `unlock`/`lock` flags: the session must

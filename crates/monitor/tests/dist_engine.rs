@@ -9,10 +9,11 @@
 
 use hb_computation::{Computation, EventId};
 use hb_detect::online::OnlineVerdict;
-use hb_dist::{owner, DistAggregator, DistWorker, OverflowPolicy};
+use hb_monitor::dist::{AggStep, DistAggregator, DistWorker};
 use hb_monitor::session::{Session, SessionLimits};
+use hb_monitor::OverflowPolicy;
 use hb_sim::{causal_shuffle, random_computation, RandomSpec};
-use hb_tracefmt::wire::{SliceUpdateBody, WireClause, WireMode, WirePredicate};
+use hb_tracefmt::wire::{owner, SliceUpdateBody, WireClause, WireMode, WirePredicate};
 use std::collections::BTreeMap;
 
 const PROCESSES: usize = 4;
@@ -90,13 +91,11 @@ impl Partition {
         }
     }
 
-    fn absorb(&mut self, steps: Vec<hb_dist::AggStep>) {
+    fn absorb(&mut self, steps: Vec<AggStep>) {
         self.outcomes.extend(steps.into_iter().map(|s| match s {
-            hb_dist::AggStep::Verdict { predicate, verdict } => {
-                Outcome::Verdict(predicate, verdict)
-            }
-            hb_dist::AggStep::Error(e) => Outcome::Error(e.to_string()),
-            hb_dist::AggStep::Closed { discarded } => Outcome::Closed(discarded),
+            AggStep::Verdict { predicate, verdict } => Outcome::Verdict(predicate, verdict),
+            AggStep::Error(e) => Outcome::Error(e.to_string()),
+            AggStep::Closed { discarded } => Outcome::Closed(discarded),
         }));
     }
 

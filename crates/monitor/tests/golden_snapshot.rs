@@ -8,7 +8,7 @@
 //! directory written by an older build still recovers, and a snapshot
 //! written now reads the same way tomorrow.
 
-use hb_dist::{DistAggregator, DistWorker};
+use hb_monitor::dist::{DistAggregator, DistWorker};
 use hb_monitor::{
     AggregatorSlotSnapshot, OverflowPolicy, ServiceSnapshot, Session, SessionLimits,
     WorkerSlotSnapshot,
@@ -22,9 +22,18 @@ fn golden_snapshot_parses_restores_and_reserializes_byte_for_byte() {
     assert_eq!(snap.sessions.len(), 1);
     assert_eq!(snap.workers.len(), 1);
     assert_eq!(snap.aggregators.len(), 1);
-    assert!(!snap.sessions[0].held.is_empty(), "the session holds an event");
-    assert!(!snap.workers[0].snap.held.is_empty(), "the worker holds an event");
-    assert!(!snap.aggregators[0].snap.reorder.is_empty(), "the aggregator reorders");
+    assert!(
+        !snap.sessions[0].held.is_empty(),
+        "the session holds an event"
+    );
+    assert!(
+        !snap.workers[0].snap.held.is_empty(),
+        "the worker holds an event"
+    );
+    assert!(
+        !snap.aggregators[0].snap.reorder.is_empty(),
+        "the aggregator reorders"
+    );
 
     let limits = SessionLimits::default();
     let sessions = snap

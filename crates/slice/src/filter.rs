@@ -27,6 +27,9 @@ pub struct SliceFilter {
     pending: Vec<u64>,
     events_in: u64,
     events_filtered: u64,
+    /// `(events_in, events_filtered)` as of the last
+    /// [`SliceFilter::take_counts`].
+    reported: (u64, u64),
 }
 
 /// Exportable dynamic state of a [`SliceFilter`], persisted through
@@ -63,6 +66,7 @@ impl SliceFilter {
             pending: vec![0; clauses.len()],
             events_in: 0,
             events_filtered: 0,
+            reported: (0, 0),
         }
     }
 
@@ -117,6 +121,18 @@ impl SliceFilter {
         self.events_filtered
     }
 
+    /// Counter growth since the previous call, as `(Δevents_in,
+    /// Δevents_filtered)`, or `None` when there is none — so a metrics
+    /// sink sees every offered event exactly once. A restored filter
+    /// starts from zero: its first call reports the restored totals,
+    /// resyncing metrics that restarted with the process.
+    pub fn take_counts(&mut self) -> Option<(u64, u64)> {
+        let total = (self.events_in, self.events_filtered);
+        let delta = (total.0 - self.reported.0, total.1 - self.reported.1);
+        self.reported = total;
+        (delta != (0, 0)).then_some(delta)
+    }
+
     /// Exports the dynamic state for a snapshot.
     pub fn export(&self) -> SliceState {
         SliceState {
@@ -137,6 +153,7 @@ impl SliceFilter {
         self.pending.clone_from(&state.pending);
         self.events_in = state.events_in;
         self.events_filtered = state.events_filtered;
+        self.reported = (0, 0);
         Ok(())
     }
 }
@@ -207,6 +224,20 @@ mod tests {
             }
         );
         assert_eq!(f.take_pending(1), 1);
+    }
+
+    #[test]
+    fn counts_are_reported_once() {
+        let (mut f, x, _) = setup();
+        assert_eq!(f.take_counts(), None);
+        f.advance(0, [x], || false);
+        f.advance(0, [x], || true);
+        assert_eq!(f.take_counts(), Some((2, 1)));
+        assert_eq!(f.take_counts(), None);
+        let state = f.export();
+        let (mut fresh, _, _) = setup();
+        fresh.restore(&state).unwrap();
+        assert_eq!(fresh.take_counts(), Some((2, 1)), "restores report totals");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Online computation slicing for regular predicates.
+//! Computation slicing for regular predicates, offline and online.
 //!
 //! The *slice* of a computation with respect to a predicate `p`
 //! (Mittal–Garg, *Techniques and Applications of Computation Slicing*)
@@ -14,10 +14,12 @@
 //!   `e` (absent when no satisfying cut contains `e`).
 //!
 //! A cut `G` is in the slice iff `I_p ⊆ G ⊆ F_p` and `J_p(e) ⊆ G` for
-//! every frontier event `e` of `G`. `crates/slicer` computes this data
-//! offline from a complete [`hb_computation::Computation`]; this crate
-//! maintains it **online**, event by event, in the style of
-//! Chauhan–Garg's distributed abstraction algorithm:
+//! every frontier event `e` of `G`. The [`offline`] module computes
+//! this data from a complete [`hb_computation::Computation`] ([`Slice`],
+//! plus the slice-based `EF`/`EG` comparators the benchmarks pit
+//! against the paper's algorithms); the rest of this crate maintains it
+//! **online**, event by event, in the style of Chauhan–Garg's
+//! distributed abstraction algorithm:
 //!
 //! - [`OnlineSlicer`] is the reference implementation. Its
 //!   [`OnlineSlicer::advance`] consumes one wire
@@ -54,9 +56,11 @@
 //! [`SkipReason::NonParticipating`] to keep the two notions separate.
 
 mod filter;
+pub mod offline;
 mod online;
 
 pub use filter::{SliceFilter, SliceState};
+pub use offline::{ef_regular_via_slice, eg_regular_via_slice, Slice};
 pub use online::OnlineSlicer;
 
 use hb_computation::VarId;

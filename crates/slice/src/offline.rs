@@ -1,4 +1,4 @@
-//! Computation slicing (Mittal & Garg \[18\], Garg & Mittal \[9\]).
+//! Offline computation slicing (Mittal & Garg \[18\], Garg & Mittal \[9\]).
 //!
 //! The **slice** of a computation with respect to a regular predicate `p`
 //! is the sub-structure of the cut lattice containing exactly the cuts
@@ -15,7 +15,7 @@
 //! The paper uses slicing twice: A3's complexity argument routes the
 //! `EG(conjunctive)` sub-checks through the optimal conjunctive slicer of
 //! \[18\], and Section 5 notes that A1 improves the `O(n²|E|)`
-//! slice-based `EG(regular)` of \[9\] — this crate provides that
+//! slice-based `EG(regular)` of \[9\] — this module provides that
 //! comparator ([`eg_regular_via_slice`]) for the S1 ablation benchmark.
 //!
 //! # Example
@@ -23,7 +23,7 @@
 //! ```
 //! use hb_computation::ComputationBuilder;
 //! use hb_predicates::{Conjunctive, LocalExpr};
-//! use hb_slicer::Slice;
+//! use hb_slice::Slice;
 //!
 //! let mut b = ComputationBuilder::new(2);
 //! let x = b.var("x");
@@ -37,9 +37,6 @@
 //! assert!(slice.contains(&comp.final_cut()));
 //! assert!(!slice.contains(&comp.initial_cut()));
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use hb_computation::{Computation, Cut, EventId};
 use hb_detect::{ef_linear, ef_post_linear, EgReport};

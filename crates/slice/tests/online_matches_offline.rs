@@ -1,5 +1,5 @@
 //! Differential proptests: the online slicer against the offline
-//! `hb_slicer::Slice` on random computations delivered in random
+//! `hb_slice::Slice` on random computations delivered in random
 //! causal orders, the ingest filter against ground-truth clause
 //! satisfaction, and a lattice-oracle audit that the structurally
 //! "sliceable" predicates really are regular.
@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use hb_computation::{Computation, EventId, VarId};
 use hb_predicates::{classify, Conjunctive, LocalExpr};
 use hb_sim::{random_computation, random_linearization, RandomSpec};
+use hb_slice::Slice;
 use hb_slice::{OnlineSlicer, SkipReason, SliceFilter};
-use hb_slicer::Slice;
 use hb_tracefmt::wire::EventFrame;
 use proptest::prelude::*;
 

@@ -223,8 +223,8 @@ impl EventFrame {
 /// the original name) spread over its backends. Workers run the local
 /// slicing engine over the processes `p` with `p % k == worker` and
 /// report one [`ClientMsg::SliceUpdate`] observation per forwarded
-/// event; the aggregator replays those observations through a replica
-/// of the single-backend session pipeline and emits the verdicts.
+/// event; the aggregator feeds those observations to the
+/// single-backend session's detection core and emits the verdicts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireDistRole {
     /// Client-facing opt-in: detect this session cooperatively across
@@ -250,6 +250,28 @@ pub enum WireDistRole {
         /// Total number of worker partitions feeding this aggregator.
         k: usize,
     },
+}
+
+/// The worker partition owning process `p` in a `k`-way distributed
+/// session: `p % k`.
+///
+/// Round-robin by process id is cheap, deterministic and independent of
+/// event content, so the gateway routes without any session state
+/// beyond `k`. (Chauhan–Garg shard by slice responsibility instead;
+/// `DESIGN.md` §15 explains the divergence.)
+pub fn owner(p: usize, k: usize) -> usize {
+    p % k
+}
+
+/// The decorated session name worker partition `worker` of session
+/// `origin` opens on its backend: `origin#w<worker>`.
+///
+/// Worker partitions share the per-backend namespace with plain
+/// sessions; the suffix keeps them from colliding with the origin name,
+/// which the aggregator's session carries, while staying readable in
+/// stats output.
+pub fn worker_session(origin: &str, worker: usize) -> String {
+    format!("{origin}#w{worker}")
 }
 
 /// One observation inside a `slice-update` frame (wire v5): what a
@@ -1598,5 +1620,17 @@ mod tests {
         .unwrap();
         let mut r = Cursor::new(buf);
         assert!(read_frame::<_, ClientMsg>(&mut r).is_err());
+    }
+
+    #[test]
+    fn owner_partitions_round_robin() {
+        assert_eq!(owner(0, 3), 0);
+        assert_eq!(owner(4, 3), 1);
+        assert_eq!(owner(5, 1), 0);
+    }
+
+    #[test]
+    fn worker_sessions_are_decorated() {
+        assert_eq!(worker_session("app", 2), "app#w2");
     }
 }

@@ -18,7 +18,7 @@
 //! | [`predicates`] | `hb-predicates` | predicate classes and classifiers |
 //! | [`detect`] | `hb-detect` | Algorithms A1/A2/A3 and friends |
 //! | [`ctl`] | `hb-ctl` | formula language, parser, evaluator |
-//! | [`slicer`] | `hb-slicer` | computation slicing |
+//! | [`slicer`] | `hb-slice` | computation slicing, offline and online |
 //! | [`sim`] | `hb-sim` | protocol simulator, random traces |
 //! | [`reduction`] | `hb-reduction` | the NP-hardness gadgets |
 //! | [`tracefmt`] | `hb-tracefmt` | JSON/text trace interchange |
@@ -49,7 +49,7 @@ pub use hb_predicates as predicates;
 pub use hb_reduction as reduction;
 pub use hb_sdk as sdk;
 pub use hb_sim as sim;
-pub use hb_slicer as slicer;
+pub use hb_slice as slicer;
 pub use hb_tracefmt as tracefmt;
 pub use hb_vclock as vclock;
 
