@@ -172,7 +172,7 @@ pub(crate) fn validate_open(
     predicates: &[WirePredicate],
     distributed: bool,
 ) -> Result<OpenRequest, SessionError> {
-    let bad = |m: String| SessionError::BadOpen(m);
+    let bad = SessionError::BadOpen;
     if processes == 0 {
         return Err(bad("zero processes".into()));
     }
